@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from .graph import min_degree
-from .packing import max_packing, packing_number
+from .packing import packing_number
 from .randgraph import hitting_time_min_degree, hitting_time_packing, sample_gnp, sample_process
 from .reporting import emit_csv, emit_json, emit_svg_plot
 from .rng import check_seed, derive_seed
@@ -201,11 +201,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _sigma_trial(args: tuple) -> TrialRecord:
-    n, p, p_index, trial, seed, descent = args
+    n, p, p_index, trial, seed = args
     start = time.perf_counter()
     graph = sample_gnp(n, p, seed)
     delta = min_degree(graph)
-    sigma = packing_number(graph) if descent else max_packing(graph).sigma
+    sigma = packing_number(graph)
     elapsed = time.perf_counter() - start
     return TrialRecord(
         n=n, p=p, p_index=p_index, trial=trial, seed=seed,
@@ -222,7 +222,10 @@ def _hitting_trial(args: tuple) -> HittingRecord:
     tau_delta = hitting_time_min_degree(perm, k)
     tau_sigma = hitting_time_packing(perm, k)
     # k <= n/2 guarantees both properties arrive by the complete graph.
-    assert tau_delta is not None and tau_sigma is not None
+    if tau_delta is None or tau_sigma is None:
+        raise AssertionError(
+            f"internal error: hitting time missing for n={n}, k={k}, seed={seed}"
+        )
     elapsed = time.perf_counter() - start
     return HittingRecord(
         n=n, k=k, k_index=k_index, trial=trial, seed=seed,
@@ -313,7 +316,10 @@ def _execute_cells(cfg: ExperimentConfig, cells, worker):
         for key, argset in cells:
             yield key, [worker(args) for args in argset]
         return
-    workers = os.cpu_count() or 1
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity, such as macOS
+        workers = os.cpu_count() or 1
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for key, argset in cells:
             chunk = max(1, len(argset) // (4 * workers))
@@ -352,15 +358,16 @@ def _emit_summary(cfg, row_type, rows, series, ylabel, title) -> None:
     )
 
 
-def _sigma_campaign(cfg: ExperimentConfig, descent: bool) -> list[SummaryRow]:
+def _sigma_campaign(cfg: ExperimentConfig, strict: bool) -> list[SummaryRow]:
+    """Shared sigma campaign; ``strict`` makes sigma < delta the headline
+    fraction (dense) in place of sigma = delta (equality)."""
     validate_config(cfg)
     cells = []
     for n in sorted(cfg.n_values):
         for p_index, p in enumerate(p_grid(cfg.p_rule, n)):
             argset = [
                 (n, p, p_index, t,
-                 derive_seed(cfg.master_seed, cfg.experiment, n, p_index, t),
-                 descent)
+                 derive_seed(cfg.master_seed, cfg.experiment, n, p_index, t))
                 for t in range(cfg.trials)
             ]
             cells.append(((n, p_index, p), argset))
@@ -371,7 +378,7 @@ def _sigma_campaign(cfg: ExperimentConfig, descent: bool) -> list[SummaryRow]:
         for (n, p_index, p), records in _execute_cells(cfg, cells, _sigma_trial):
             sink.flush_cell(f"p{p_index}", records)
             headline = _fraction(
-                records, (lambda r: r.strict) if descent else (lambda r: r.equality)
+                records, (lambda r: r.strict) if strict else (lambda r: r.equality)
             )
             row = SummaryRow(
                 n=n, p=p, trials=len(records),
@@ -384,7 +391,7 @@ def _sigma_campaign(cfg: ExperimentConfig, descent: bool) -> list[SummaryRow]:
             )
             rows.append(row)
             points.setdefault(p_index, []).append(
-                (n, row.fraction_strict if descent else row.fraction_equality)
+                (n, row.fraction_strict if strict else row.fraction_equality)
             )
     finally:
         sink.close()
@@ -393,19 +400,19 @@ def _sigma_campaign(cfg: ExperimentConfig, descent: bool) -> list[SummaryRow]:
         (f"p rule {cfg.p_rule}" if grid_size == 1 else f"{cfg.p_rule}[{i}]", pts)
         for i, pts in sorted(points.items())
     ]
-    ylabel = "fraction sigma < delta" if descent else "fraction sigma = delta"
+    ylabel = "fraction sigma < delta" if strict else "fraction sigma = delta"
     _emit_summary(cfg, SummaryRow, rows, series, ylabel, f"{cfg.experiment} campaign")
     return rows
 
 
 def run_equality_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per (n, p) cell: fraction of samples with sigma = delta."""
-    return _sigma_campaign(cfg, descent=False)
+    return _sigma_campaign(cfg, strict=False)
 
 
 def run_dense_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per (n, p) cell: fractions with sigma < delta and the Catlin identity."""
-    return _sigma_campaign(cfg, descent=True)
+    return _sigma_campaign(cfg, strict=True)
 
 
 def run_hitting_experiment(cfg: ExperimentConfig) -> list[HittingSummaryRow]:

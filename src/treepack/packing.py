@@ -6,10 +6,13 @@ iff every partition P of the vertices has at least k(|P|-1) crossing edges,
 so alongside the trees themselves we can always hand back a short refutation
 of level sigma+1: a partition with too few crossing edges.
 
-The core engine maintains k edge-disjoint forests and feeds graph edges in
-ascending (u, v) order. An edge whose endpoints are separated in some forest
-goes straight in; otherwise a breadth-first search over the exchange
-structure (Roskind-Tarjan labeling) looks for an augmenting chain of swaps.
+The engine maintains k edge-disjoint forests and makes two passes over the
+graph edges in ascending (u, v) order. The first pass inserts every edge
+whose endpoints are separated in some forest, rotating over the forests so
+all k fill evenly, and defers the rest. The second pass offers each deferred
+edge to a breadth-first search over the exchange structure (Roskind-Tarjan
+labeling) for an augmenting chain of swaps. Matroid-union augmentation
+reaches a maximum whatever order the edges arrive in, so deferring is exact.
 Once an edge fails it fails forever: the edge lies in the span of the placed
 set and spans only grow, so each edge is attempted once.
 
@@ -19,11 +22,10 @@ against the final forests and merged where they overlap, are exactly the
 blocks of a partition violating the Nash-Williams/Tutte count; every
 certificate is re-validated through nw_check before it escapes this module.
 
-max_packing climbs levels k = 1, 2, ... reusing the forests of the previous
-level, which is the cheap shape when sigma is small (the sparse regime).
-packing_number instead answers "is there a packing of size k" with one
-direct k-forest run and descends guided by the failed run's certificate;
-dense graphs, where sigma can be in the hundreds, settle in one or two runs.
+max_packing and packing_number share one descent over k. It starts at the
+upper bound min(delta, m/(n-1)); a failed run's certificate P bounds sigma
+by floor(crossing/(|P|-1)), which becomes the next probe. The last failed
+certificate therefore already refutes level sigma+1.
 """
 
 from __future__ import annotations
@@ -78,44 +80,31 @@ class _Packer:
     v in forest i, so "separated in some forest" is a single list comparison.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, k: int):
+        n = graph.n
         self.graph = graph
-        self.n = graph.n
-        self.k = 0
-        self.adj: list[list[set[int]]] = []
-        self.comp: list[list[int]] = [[] for _ in range(self.n)]
-        self.members: list[dict[int, set[int]]] = []
-        self.size: list[int] = []
-        self.version: list[int] = []
-        self._arrays: list[tuple[int, list[int], list[int]] | None] = []
-        self._next_comp = 0
+        self.n = n
+        self.k = k
+        self.adj: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
+        # Forest i starts with the singleton components i*n + v.
+        self.comp: list[list[int]] = [[i * n + v for i in range(k)] for v in range(n)]
+        self.members: list[dict[int, set[int]]] = [
+            {i * n + v: {v} for v in range(n)} for i in range(k)
+        ]
+        self.size: list[int] = [0] * k
+        self.version: list[int] = [0] * k
+        self._arrays: list[tuple[int, list[int], list[int]] | None] = [None] * k
+        self._next_comp = k * n
         self.total = 0
         # Union-find over saturated vertex sets; an edge inside one class can
         # never be placed, so repeat failures are skipped cheaply.
-        self.sat_parent = list(range(self.n))
-        self.sat_size = [1] * self.n
-        self.sat_classes = self.n
+        self.reset_saturation()
 
     # -- forest bookkeeping ------------------------------------------------
-
-    def push_forest(self) -> None:
-        self.k += 1
-        self.adj.append([set() for _ in range(self.n)])
-        base = self._next_comp
-        self._next_comp += self.n
-        members: dict[int, set[int]] = {}
-        for v in range(self.n):
-            self.comp[v].append(base + v)
-            members[base + v] = {v}
-        self.members.append(members)
-        self.size.append(0)
-        self.version.append(0)
-        self._arrays.append(None)
 
     def reset_saturation(self) -> None:
         self.sat_parent = list(range(self.n))
         self.sat_size = [1] * self.n
-        self.sat_classes = self.n
 
     def sat_find(self, v: int) -> int:
         parent = self.sat_parent
@@ -134,7 +123,6 @@ class _Packer:
             ra, rb = rb, ra
         self.sat_parent[rb] = ra
         self.sat_size[ra] += self.sat_size[rb]
-        self.sat_classes -= 1
 
     def forest_add(self, i: int, e: Edge) -> None:
         u, v = e
@@ -221,22 +209,8 @@ class _Packer:
 
     # -- exchange search -----------------------------------------------------
 
-    def try_insert(self, e: Edge, first_active: int = 0) -> bool:
-        """Place edge e, by direct insert or augmenting chain.
-
-        Forests below ``first_active`` are known to be spanning and are
-        skipped in the direct-insert scan. Returns False when no augmenting
-        chain exists; the failed closure is saturated for later skipping.
-        """
-        u, v = e
-        cu, cv = self.comp[u], self.comp[v]
-        for i in range(first_active, self.k):
-            if cu[i] != cv[i]:
-                self.forest_add(i, e)
-                return True
-        return self._augment(e)
-
     def _augment(self, e0: Edge) -> bool:
+        """Place e0 by an augmenting chain; on failure saturate its closure."""
         terminal, insert_at, label, seen = self._closure(e0)
         if terminal is not None:
             self._apply_chain(terminal, insert_at, label)
@@ -384,14 +358,12 @@ class _Packer:
 
     # -- results -----------------------------------------------------------
 
-    def snapshot_trees(self, count: int | None = None) -> tuple[Forest, ...]:
-        if count is None:
-            count = self.k
+    def snapshot_trees(self) -> tuple[Forest, ...]:
         return tuple(
             Forest(edges=tuple(sorted(
                 (u, v) for u in range(self.n) for v in self.adj[i][u] if u < v
             )))
-            for i in range(count)
+            for i in range(self.k)
         )
 
     def saturated_partition(self) -> Partition:
@@ -413,93 +385,20 @@ def _jump_find(jump: dict[int, int], v: int) -> int:
     return root
 
 
-def _level_pass(packer: _Packer, head: list[int], nxt: list[int],
-                target: int, first_active: int) -> None:
-    """Run one packing level over the linked edge list until full or exhausted.
-
-    The linked structure (head, nxt) walks the surviving edges in ascending
-    (u, v) order; placed edges are unlinked in O(1) so later levels never
-    revisit them, and the early exit at ``target`` leaves the tail untouched.
-    Two passes: direct inserts only, then the full exchange search for
-    whatever the first pass could not finish.
-    """
-    edges = packer.graph.edge_list
-    comp = packer.comp
-    k = packer.k
-    sentinel = len(edges)
-    prev = -1
-    cur = head[0]
-    while cur != sentinel:
-        if packer.total == target:
-            return
-        u, v = edges[cur]
-        cu, cv = comp[u], comp[v]
-        placed = False
-        for i in range(first_active, k):
-            if cu[i] != cv[i]:
-                packer.forest_add(i, (u, v))
-                placed = True
-                break
-        if placed:
-            follow = nxt[cur]
-            if prev < 0:
-                head[0] = follow
-            else:
-                nxt[prev] = follow
-            cur = follow
-        else:
-            prev = cur
-            cur = nxt[cur]
-    if packer.total == target:
-        return
-    prev = -1
-    cur = head[0]
-    while cur != sentinel:
-        if packer.total == target:
-            return
-        e = edges[cur]
-        if packer.sat_find(e[0]) == packer.sat_find(e[1]):
-            # Both endpoints in a saturated set: insertion is hopeless.
-            prev = cur
-            cur = nxt[cur]
-            continue
-        if packer.try_insert(e, first_active):
-            follow = nxt[cur]
-            if prev < 0:
-                head[0] = follow
-            else:
-                nxt[prev] = follow
-            cur = follow
-        else:
-            prev = cur
-            cur = nxt[cur]
-
-
-def _survivors(packer: _Packer, head: list[int], nxt: list[int]) -> list[Edge]:
-    edges = packer.graph.edge_list
-    sentinel = len(edges)
-    out = []
-    cur = head[0]
-    while cur != sentinel:
-        out.append(edges[cur])
-        cur = nxt[cur]
-    return out
-
-
 def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
     """One maximal matroid-union run with k forests built from scratch.
 
-    Edges are offered in ascending (u, v) order; direct inserts rotate a
-    cursor over the forests so all k fill evenly, which keeps exchange
-    chains rare until the forests are nearly complete. Returns the packer
-    and the edges that could not be placed (empty or unfinished on the
-    early exit at total = k(n-1), which only success triggers).
+    Pass 1 offers the edges in ascending (u, v) order to direct inserts,
+    which rotate a cursor over the forests so all k fill evenly, and defers
+    every edge whose endpoints each forest already joins. Pass 2 offers the
+    deferred edges, in the same order, to the exchange search, skipping
+    those inside a saturated class. Both passes stop once the forests hold
+    k(n-1) edges. Returns the packer and the edges that could not be placed
+    (unfinished on that early exit, which only success triggers).
     """
-    packer = _Packer(graph)
-    for _ in range(k):
-        packer.push_forest()
+    packer = _Packer(graph, k)
     target = k * (graph.n - 1)
-    pending: list[Edge] = []
+    deferred: list[Edge] = []
     comp = packer.comp
     cursor = 0
     for e in graph.edge_list:
@@ -507,19 +406,23 @@ def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
             break
         u, v = e
         cu, cv = comp[u], comp[v]
-        if cu != cv:
-            i = cursor
-            while cu[i] == cv[i]:
-                i += 1
-                if i == k:
-                    i = 0
-            packer.forest_add(i, e)
-            cursor = i + 1
-            if cursor == k:
-                cursor = 0
-        elif packer.sat_find(u) == packer.sat_find(v):
-            pending.append(e)
-        elif not packer._augment(e):
+        if cu == cv:
+            deferred.append(e)
+            continue
+        i = cursor
+        while cu[i] == cv[i]:
+            i += 1
+            if i == k:
+                i = 0
+        packer.forest_add(i, e)
+        cursor = i + 1
+        if cursor == k:
+            cursor = 0
+    pending: list[Edge] = []
+    for e in deferred:
+        if packer.total == target:
+            break
+        if packer.sat_find(e[0]) == packer.sat_find(e[1]) or not packer._augment(e):
             pending.append(e)
     return packer, pending
 
@@ -561,77 +464,56 @@ def _checked(graph: Graph, k: int, partition: Partition) -> Partition:
     return partition
 
 
+def _descend(graph: Graph) -> tuple[int, _Packer | None, Partition | None]:
+    """sigma, the packer of the successful probe and a checked certificate
+    for level sigma+1 (packer None when sigma = 0, certificate None when
+    n = 1).
+
+    Probes start at the upper bound min(delta, m/(n-1)). A failed probe at
+    k yields a violating partition P, and the next probe is
+    min(k-1, floor(cross(P)/(|P|-1))), so cross(P) < (next+1)(|P|-1) and
+    the last failed P refutes sigma+1. When the first probe succeeds, a
+    minimum-degree split or the singleton partition refutes bound+1.
+    """
+    n = graph.n
+    if n == 0:
+        raise ValueError("packing needs at least one vertex")
+    if n == 1:
+        return 0, None, None
+    k = _packing_bound(graph)
+    packer, certificate = None, None
+    while k >= 1:
+        run, pending = _direct_run(graph, k)
+        if run.total == k * (n - 1):
+            packer = run
+            break
+        certificate = _failed_partition(graph, run, pending, k)
+        k = min(k - 1, crossing_edges(graph, certificate) // (certificate.block_count - 1))
+    if certificate is None:
+        certificate = _cheap_certificate(graph, k + 1)
+    return k, packer, _checked(graph, k + 1, certificate)
+
+
 def max_packing(graph: Graph) -> PackingResult:
     """Exact packing number with trees and a level sigma+1 certificate.
 
-    Levels k = 1, 2, ... run incrementally, each reusing the forests of the
-    previous level plus one empty forest. A level succeeds when the forests
-    reach k(n-1) edges in total; the first failing level yields sigma and
-    the closure of its leftover edges forms the certificate. Levels above
-    min(delta, m/(n-1)) never need to run: a minimum-degree split or the
-    singleton partition is already a violation there.
+    Runs the shared descent (see _descend) and keeps the trees of its
+    successful probe; the certificate comes from the last failed probe, or
+    from the minimum-degree or density bound when the first probe succeeds.
     """
-    n = graph.n
-    if n == 0:
-        raise ValueError("packing needs at least one vertex")
-    if n == 1:
-        return PackingResult(sigma=0, trees=(), certificate=None)
-    bound = _packing_bound(graph)
-    if bound == 0:
-        # delta = 0 or m < n-1: either way the graph is disconnected.
-        return PackingResult(
-            sigma=0,
-            trees=(),
-            certificate=_checked(graph, 1, _cheap_certificate(graph, 1)),
-        )
-    packer = _Packer(graph)
-    head = [0]
-    nxt = list(range(1, graph.m + 1))
-    for k in range(1, bound + 1):
-        packer.push_forest()
-        packer.reset_saturation()
-        _level_pass(packer, head, nxt, k * (n - 1), k - 1)
-        if packer.total < k * (n - 1):
-            # Chains at the failed level may have reshuffled forest edges,
-            # but forests below the new one are still spanning trees.
-            certificate = _failed_partition(
-                graph, packer, _survivors(packer, head, nxt), k
-            )
-            return PackingResult(
-                sigma=k - 1,
-                trees=packer.snapshot_trees(k - 1),
-                certificate=certificate,
-            )
-    return PackingResult(
-        sigma=bound,
-        trees=packer.snapshot_trees(),
-        certificate=_checked(graph, bound + 1, _cheap_certificate(graph, bound + 1)),
-    )
+    sigma, packer, certificate = _descend(graph)
+    trees = packer.snapshot_trees() if packer is not None else ()
+    return PackingResult(sigma=sigma, trees=trees, certificate=certificate)
 
 
 def packing_number(graph: Graph) -> int:
-    """sigma(G) alone, without trees or certificates.
+    """sigma(G) alone: the shared descent of max_packing without its trees.
 
-    Probes "do k edge-disjoint spanning trees exist" with one direct
-    k-forest run, starting at the upper bound min(delta, m/(n-1)). On
-    failure, the violating partition derived from the run bounds sigma by
-    floor(crossing/(blocks-1)), which becomes the next probe. Uniformly
-    dense graphs settle on the first probe, so this is the hot path for
-    Monte Carlo trials; max_packing answers identically on every input.
+    Uniformly dense graphs settle on the first probe at min(delta, m/(n-1)),
+    so this is the hot path for Monte Carlo trials; max_packing answers
+    identically on every input.
     """
-    n = graph.n
-    if n == 0:
-        raise ValueError("packing needs at least one vertex")
-    if n == 1:
-        return 0
-    k = _packing_bound(graph)
-    while k >= 1:
-        packer, pending = _direct_run(graph, k)
-        if packer.total == k * (n - 1):
-            return k
-        partition = _failed_partition(graph, packer, pending, k)
-        k = min(k - 1, crossing_edges(graph, partition) // (partition.block_count - 1))
-    return 0
+    return _descend(graph)[0]
 
 
 def has_k_spanning_trees(graph: Graph, k: int) -> tuple[bool, tuple[Forest, ...] | None]:

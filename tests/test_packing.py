@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,10 +12,13 @@ from treepack.graph import (
     cycle_graph,
     make_partition,
     min_degree,
+    normalize_edge,
     path_graph,
     singleton_partition,
 )
 from treepack.oracle import brute_has_k, brute_sigma, nw_check
+from treepack.randgraph import sample_gnp
+from treepack.rng import derive_seed
 from treepack.packing import (
     Forest,
     extract_certificate,
@@ -43,6 +47,27 @@ def two_cliques_bridged(size):
     ]
     edges.append((0, size))
     return build_graph(2 * size, edges)
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def circulant(n, offsets):
+    """Vertex v joined to v +- d (mod n) for each offset d <= n/2."""
+    return build_graph(n, {normalize_edge(v, (v + d) % n) for v in range(n) for d in offsets})
+
+
+STRUCTURED = (
+    [(f"bridged-K{s}", two_cliques_bridged(s)) for s in range(2, 7)]
+    + [(f"K{a},{b}", complete_bipartite(a, b))
+       for a, b in ((1, 1), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (3, 6), (5, 6))]
+    + [(f"C{n}{offsets}", circulant(n, offsets))
+       for n, offsets in ((6, (1, 2)), (7, (1, 2)), (8, (1, 3)), (8, (1, 2, 4)),
+                          (9, (1, 2, 3)), (10, (1, 2)), (11, (1, 3)), (12, (1, 2, 3)),
+                          (12, (1, 5)))]
+    + [(f"K{n}", complete_graph(n)) for n in range(2, 13)]
+)
 
 
 def check_result(g, result):
@@ -188,6 +213,35 @@ def test_determinism():
 
 
 # -- oracle cross-checks ----------------------------------------------------
+
+@pytest.mark.parametrize("g", [g for _, g in STRUCTURED], ids=[name for name, _ in STRUCTURED])
+def test_structured_families_agree(g):
+    # Verified trees at sigma and a certificate refuting sigma+1 prove sigma
+    # on their own; the oracle is an independent check where it is cheap
+    # (Bell(10) partitions already take about a second).
+    result = max_packing(g)
+    check_result(g, result)
+    sigma = result.sigma
+    assert sigma >= 1
+    assert packing_number(g) == sigma
+    ok, trees = has_k_spanning_trees(g, sigma)
+    assert ok and verify_packing(g, trees)
+    assert has_k_spanning_trees(g, sigma + 1) == (False, None)
+    if g.n <= 9:
+        assert brute_sigma(g) == sigma
+
+
+def test_sparse_delta_two_draw():
+    # A delta = 2 draw near the connectivity threshold: most edges land
+    # inside components of every forest, so the second pass does the work.
+    n = 1024
+    p = (math.log(n) + math.log(math.log(n))) / n
+    g = sample_gnp(n, p, derive_seed(2026, "bench-sparse", n, 2, 5))
+    assert min_degree(g) == 2
+    result = max_packing(g)
+    assert result.sigma == 2
+    check_result(g, result)
+    assert packing_number(g) == 2
 
 def test_complete_graphs_pack_half_n():
     for n in range(2, 13):

@@ -310,8 +310,17 @@ class _Sink:
             self._timings.close()
 
 
+def _run_batch(worker, argset) -> list:
+    return [worker(args) for args in argset]
+
+
 def _execute_cells(cfg: ExperimentConfig, cells, worker):
-    """Yield (cell_key, records) in cell order, trials in index order."""
+    """Yield (cell_key, records) in cell order, trials in index order.
+
+    The concurrent path submits every cell's trials up front, so workers
+    never idle between small cells. If a trial raises or the consumer
+    closes the generator, trials not yet started are cancelled.
+    """
     if cfg.sequential:
         for key, argset in cells:
             yield key, [worker(args) for args in argset]
@@ -320,10 +329,20 @@ def _execute_cells(cfg: ExperimentConfig, cells, worker):
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity, such as macOS
         workers = os.cpu_count() or 1
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        submitted = []
         for key, argset in cells:
             chunk = max(1, len(argset) // (4 * workers))
-            yield key, list(pool.map(worker, argset, chunksize=chunk))
+            batches = [
+                pool.submit(_run_batch, worker, argset[i:i + chunk])
+                for i in range(0, len(argset), chunk)
+            ]
+            submitted.append((key, batches))
+        for key, batches in submitted:
+            yield key, [record for batch in batches for record in batch.result()]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _halfwidth(fraction: float, trials: int) -> float:

@@ -3,11 +3,17 @@
 G(n,p) inclusion is one independent Bernoulli(p) draw per vertex pair, taken
 in ascending (u, v) order so the stream layout is part of the format: pair
 number t consumes stream value t. A pair is included when its 64-bit draw
-falls below round(p * 2^64).
+falls below round(p * 2^64). The words are drawn in chunks of _CHUNK_WORDS,
+the same words in the same order, so memory stays O(chunk + edges) rather
+than O(n^2); kept pair numbers are decoded to (u, v) by exact integer
+arithmetic on the row offsets.
 
 The random graph process is a uniformly random permutation of all C(n,2)
 pairs; its prefix graphs G_m are monotone, so hitting times (the first m
 where a monotone property appears) are well-defined and binary-searchable.
+The permutation is SplitMix64(seed).shuffle over the pairs in ascending
+(u, v) order: for i from C(n,2)-1 down to 1, pair i swaps with pair
+j = below(i + 1), and a rejected word is followed by the next one.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .packing import has_k_spanning_trees
 from .rng import SplitMix64, check_seed, u64_array
 
 _TWO64 = 1 << 64
+# Words per u64_array call in sample_gnp: 512 KiB per uint64 temporary.
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,11 +59,21 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         return build_graph(n, [])
     if threshold >= _TWO64:
         return build_graph(n, all_pairs(n))
-    draws = u64_array(seed, 0, count)
-    keep = draws < np.uint64(threshold)
-    us, vs = np.triu_indices(n, 1)
-    edges = list(zip(us[keep].tolist(), vs[keep].tolist()))
-    return build_graph(n, edges)
+    limit = np.uint64(threshold)
+    kept = [
+        np.flatnonzero(u64_array(seed, start, min(_CHUNK_WORDS, count - start)) < limit)
+        + start
+        for start in range(0, count, _CHUNK_WORDS)
+    ]
+    flat = np.concatenate(kept)
+    # Pair (u, v) has number off[u] + (v - u - 1), where row u starts at
+    # off[u] = u*n - u*(u+1)/2; off is strictly increasing over the rows
+    # that hold pairs, so the row of a number is the last offset <= it.
+    rows = np.arange(n, dtype=np.int64)
+    off = rows * n - rows * (rows + 1) // 2
+    us = np.searchsorted(off, flat, side="right") - 1
+    vs = flat - off[us] + us + 1
+    return build_graph(n, list(zip(us.tolist(), vs.tolist())))
 
 
 def sample_process(n: int, seed: int) -> EdgePermutation:

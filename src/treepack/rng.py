@@ -13,7 +13,16 @@ a counter:
 
 Streams are just a seed plus a position, so a batch of values can be
 produced vectorized (u64_array) bit-identically to the scalar path.
-Integer draws below a bound use rejection sampling for exact uniformity.
+Integer draws below a bound use rejection sampling for exact uniformity:
+below(b) takes the next word w, rejects it when w >= 2^64 - (2^64 mod b)
+(never for a power-of-two b) and then takes the word after it, and returns
+w mod b otherwise.
+
+shuffle is Fisher-Yates over that rule: for i from N-1 down to 1 it swaps
+item i with item j = below(i + 1), one word per i plus one per rejection.
+It draws the words in one batch and falls back to the scalar loop at the
+first rejected word, so the permutation and the final counter are those of
+the scalar loop.
 """
 
 from __future__ import annotations
@@ -53,11 +62,16 @@ def u64_array(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    # In place, so a call allocates the result and one shift temporary.
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
@@ -85,8 +99,28 @@ class SplitMix64:
                 return value % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using below()."""
-        for i in range(len(items) - 1, 0, -1):
+        """In-place Fisher-Yates: item i swaps with item below(i + 1), i = N-1..1.
+
+        The N-1 words are drawn as one batch; up to the first word that
+        below() would reject, word t gives j = word mod (N - t). From that
+        word on the scalar below() loop takes over, so the swaps and the
+        final counter match the scalar loop exactly.
+        """
+        size = len(items)
+        if size < 2:
+            return
+        bounds = np.arange(size, 1, -1, dtype=np.uint64)
+        words = u64_array(self.seed, self.counter, size - 1)
+        # 2^64 mod b, in uint64; below() rejects w >= 2^64 - rem, which is
+        # w > ~rem (never when rem = 0, a power-of-two b).
+        rem = (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
+        rejected = np.flatnonzero(words > ~rem)
+        stop = int(rejected[0]) if rejected.size else size - 1
+        picks = (words[:stop] % bounds[:stop]).tolist()
+        for i, j in zip(range(size - 1, size - 1 - stop, -1), picks):
+            items[i], items[j] = items[j], items[i]
+        self.counter += stop
+        for i in range(size - 1 - stop, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 

@@ -1,8 +1,10 @@
 import csv
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from treepack import experiments
 from treepack.experiments import (
     ExperimentConfig,
     build_config,
@@ -244,15 +246,25 @@ class TestHittingCampaign:
             assert row.mean_tau_sigma >= row.mean_tau_delta
 
     def test_concurrent_matches_sequential(self, tmp_path):
-        base = dict(
+        hitting = dict(
             experiment="hitting", n_values=(12,), trials=4, master_seed=2,
             k_values=(1,),
         )
-        seq = tmp_path / "seq"
-        con = tmp_path / "con"
-        run_hitting_experiment(ExperimentConfig(**base, out_dir=str(seq), sequential=True))
-        run_hitting_experiment(ExperimentConfig(**base, out_dir=str(con)))
-        assert (seq / "records.csv").read_bytes() == (con / "records.csv").read_bytes()
+        # One trial per cell, fewer than the workers: every cell's trials
+        # are in flight at once and must still come back in cell order.
+        structure = dict(
+            experiment="structure", n_values=(16, 32), trials=1, master_seed=2,
+        )
+        for runner, base in (
+            (run_hitting_experiment, hitting),
+            (run_structure_experiment, structure),
+        ):
+            seq = tmp_path / base["experiment"] / "seq"
+            con = tmp_path / base["experiment"] / "con"
+            runner(ExperimentConfig(**base, out_dir=str(seq), sequential=True))
+            runner(ExperimentConfig(**base, out_dir=str(con)))
+            for name in ("records.csv", "summary.csv"):
+                assert (seq / name).read_bytes() == (con / name).read_bytes()
 
 
 class TestStructureCampaign:
@@ -284,6 +296,39 @@ class TestStructureCampaign:
         rows = run_structure_experiment(cfg)
         assert rows[0].fraction_separation == 1.0
         assert rows[0].fraction_small_ok == 0.0
+
+
+class TestExecuteCells:
+    CONCURRENT = ExperimentConfig(experiment="equality", n_values=(8,))
+
+    def test_raising_trial_surfaces_its_error(self):
+        # The second cell asks for p = 2, which sample_gnp rejects in a worker.
+        cells = [
+            ("ok", [(8, 0.5, 0, t, t) for t in range(3)]),
+            ("bad", [(8, 0.5, 1, 0, 9), (8, 2.0, 1, 1, 10)]),
+            ("after", [(8, 0.5, 2, t, 20 + t) for t in range(3)]),
+        ]
+        results = experiments._execute_cells(self.CONCURRENT, cells, experiments._sigma_trial)
+        key, records = next(results)
+        assert key == "ok" and [r.trial for r in records] == [0, 1, 2]
+        with pytest.raises(ValueError, match="p must be in"):
+            next(results)
+
+    def test_early_exit_cancels_pending_trials(self, monkeypatch):
+        shutdowns = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cells = [(n, [(n, 0.5, 0, 0, n)]) for n in (8, 9, 10, 11)]
+        results = experiments._execute_cells(self.CONCURRENT, cells, experiments._sigma_trial)
+        key, records = next(results)
+        assert key == 8 and records[0].n == 8
+        results.close()
+        assert shutdowns == [True]
 
 
 class TestOutputs:

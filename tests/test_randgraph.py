@@ -3,8 +3,11 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from treepack import randgraph
+from treepack.experiments import p_grid
 from treepack.graph import connected_components, min_degree
 from treepack.oracle import brute_sigma
 from treepack.randgraph import (
@@ -16,7 +19,7 @@ from treepack.randgraph import (
     sample_gnp,
     sample_process,
 )
-from treepack.rng import u64_at
+from treepack.rng import u64_array, u64_at
 
 TWO64 = 1 << 64
 
@@ -53,6 +56,46 @@ class TestSampleGnp:
             if u64_at(seed, t) < threshold
         ]
         assert list(sample_gnp(n, p, seed).edge_list) == expected
+
+    def test_matches_full_array_reference(self):
+        # The unchunked sampler: one draw per pair over the whole stream,
+        # masked over the upper-triangle index arrays. C(400,2) = 79800
+        # words are one full chunk and one partial chunk.
+        n = 400
+        count = n * (n - 1) // 2
+        assert randgraph._CHUNK_WORDS < count < 2 * randgraph._CHUNK_WORDS
+        us, vs = np.triu_indices(n, 1)
+        chunk_empty = False
+        for p in [1e-9, 4e-5, 1e-3, 0.5] + p_grid("th1", n):
+            for seed in range(4):
+                keep = u64_array(seed, 0, count) < np.uint64(round(p * TWO64))
+                expected = list(zip(us[keep].tolist(), vs[keep].tolist()))
+                assert list(sample_gnp(n, p, seed).edge_list) == expected, (p, seed)
+                kept = np.flatnonzero(keep)
+                per_chunk = np.bincount(kept // randgraph._CHUNK_WORDS, minlength=2)
+                chunk_empty |= bool(kept.size and per_chunk.min() == 0)
+        # Some draw keeps pairs in one chunk and none in the other.
+        assert chunk_empty
+
+    def test_draws_in_bounded_chunks(self, monkeypatch):
+        # Memory stays bounded: no call draws more than one chunk, and the
+        # calls walk the stream once, in order, C(n,2) words in all.
+        calls = []
+
+        def recording(seed, start, count):
+            calls.append((start, count))
+            return u64_array(seed, start, count)
+
+        monkeypatch.setattr(randgraph, "u64_array", recording)
+        n = 4096
+        g = sample_gnp(n, 1.1 * math.log(n) / n, 2026)
+        assert g.m > 0
+        position = 0
+        for start, count in calls:
+            assert start == position
+            assert count <= randgraph._CHUNK_WORDS
+            position += count
+        assert position == n * (n - 1) // 2
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from treepack import rng
 from treepack.rng import (
     GENERATOR_ID,
     SplitMix64,
@@ -90,6 +92,65 @@ def test_shuffle_is_a_permutation():
     stream.shuffle(items)
     assert sorted(items) == list(range(30))
     assert items != list(range(30))
+
+
+def scalar_shuffle(stream, items):
+    """The reference Fisher-Yates: one below() call per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 8, 64, 99, 1001, 1024])
+@pytest.mark.parametrize("skip", [0, 17])
+def test_shuffle_matches_scalar_fisher_yates(size, skip):
+    batched, scalar = SplitMix64(77), SplitMix64(77)
+    for stream in (batched, scalar):
+        for _ in range(skip):
+            stream.u64()
+    items, expected = list(range(size)), list(range(size))
+    batched.shuffle(items)
+    scalar_shuffle(scalar, expected)
+    assert items == expected
+    assert batched.counter == scalar.counter == skip + max(size - 1, 0)
+
+
+def plant_max_words(monkeypatch, indices):
+    """Make the words at ``indices`` of every stream 2^64 - 1, which below()
+    rejects for every bound that is not a power of two."""
+    real_at, real_array = rng.u64_at, rng.u64_array
+
+    def planted_at(seed, index):
+        return (1 << 64) - 1 if index in indices else real_at(seed, index)
+
+    def planted_array(seed, start, count):
+        words = real_array(seed, start, count)
+        for index in indices:
+            if start <= index < start + count:
+                words[index - start] = np.uint64((1 << 64) - 1)
+        return words
+
+    monkeypatch.setattr(rng, "u64_at", planted_at)
+    monkeypatch.setattr(rng, "u64_array", planted_array)
+
+
+@pytest.mark.parametrize(
+    "indices, rejections",
+    [
+        ({15}, 1),  # word 15 draws for bound 90: rejected
+        ({15, 40}, 2),  # the scalar fallback meets word 40 at bound 66
+        ({41}, 0),  # bound 64 is a power of two: 2^64 - 1 is kept
+    ],
+)
+def test_shuffle_rejection_falls_back_to_scalar(monkeypatch, indices, rejections):
+    plant_max_words(monkeypatch, indices)
+    batched, scalar = SplitMix64(3), SplitMix64(3)
+    batched.counter = scalar.counter = 5
+    items, expected = list(range(100)), list(range(100))
+    batched.shuffle(items)
+    scalar_shuffle(scalar, expected)
+    assert items == expected
+    assert batched.counter == scalar.counter == 5 + 99 + rejections
 
 
 def test_derive_seed_matches_documented_layout():

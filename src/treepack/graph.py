@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -56,21 +56,32 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def checked_edges(n: int, edges: Iterable[tuple[int, int]], seen: set[Edge]) -> Iterator[Edge]:
+    """Yield each pair of edges normalized, after checking it on 0..n-1.
+
+    Rejects an out-of-range endpoint, a self-loop or an edge already in seen,
+    and adds each yielded edge to seen. Lazy: a pair is checked only when the
+    caller asks for it.
+    """
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+        yield e
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph, rejecting self-loops, duplicates and bad endpoints."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     seen: set[Edge] = set()
     adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        e = normalize_edge(u, v)
-        if e in seen:
-            raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
+    for u, v in checked_edges(n, edges, seen):
         adjacency[u].add(v)
         adjacency[v].add(u)
     return Graph(

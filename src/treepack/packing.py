@@ -14,7 +14,9 @@ edge to a breadth-first search over the exchange structure (Roskind-Tarjan
 labeling) for an augmenting chain of swaps. Matroid-union augmentation
 reaches a maximum whatever order the edges arrive in, so deferring is exact.
 Once an edge fails it fails forever: the edge lies in the span of the placed
-set and spans only grow, so each edge is attempted once.
+set and spans only grow, so each edge is attempted once. _Packer.offer is
+that one attempt for a single edge: a direct insert when some forest
+separates its endpoints, else the saturation skip, else the exchange search.
 
 When the search fails, the labeled edges close over a vertex set on which
 every forest already induces a spanning tree. Those closures, re-derived
@@ -26,17 +28,24 @@ max_packing and packing_number share one descent over k. It starts at the
 upper bound min(delta, m/(n-1)); a failed run's certificate P bounds sigma
 by floor(crossing/(|P|-1)), which becomes the next probe. The last failed
 certificate therefore already refutes level sigma+1.
+
+first_packing_prefix answers the same question along a growing edge
+sequence, as the hitting-time search of the random graph process asks it:
+one direct run packs the starting graph, and then each arriving edge is
+offered to the same packer until the forests hold k(n-1) edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import (
     Edge,
     Graph,
     Partition,
+    checked_edges,
     connected_components,
     crossing_edges,
     make_partition,
@@ -80,9 +89,7 @@ class _Packer:
     v in forest i, so "separated in some forest" is a single list comparison.
     """
 
-    def __init__(self, graph: Graph, k: int):
-        n = graph.n
-        self.graph = graph
+    def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self.adj: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
@@ -209,6 +216,25 @@ class _Packer:
 
     # -- exchange search -----------------------------------------------------
 
+    def offer(self, e: Edge) -> bool:
+        """Try to place edge e; False means e lies in the span of the placed set.
+
+        A direct insert goes to the lowest-index forest that separates e's
+        endpoints. An edge inside one saturated class is refused without a
+        search; any other edge goes to the exchange search.
+        """
+        u, v = e
+        cu, cv = self.comp[u], self.comp[v]
+        if cu != cv:
+            i = 0
+            while cu[i] == cv[i]:
+                i += 1
+            self.forest_add(i, e)
+            return True
+        if self.sat_find(u) == self.sat_find(v):
+            return False
+        return self._augment(e)
+
     def _augment(self, e0: Edge) -> bool:
         """Place e0 by an augmenting chain; on failure saturate its closure."""
         terminal, insert_at, label, seen = self._closure(e0)
@@ -231,7 +257,6 @@ class _Packer:
         forest induces a spanning tree on ``seen`` and e0 is unplaceable.
         """
         k = self.k
-        comp = self.comp
         label: dict[Edge, tuple[Edge, int] | None] = {e0: None}
         # Per-forest jump maps compress already-labeled path stretches.
         jumps: list[dict[int, int]] = [dict() for _ in range(k)]
@@ -396,7 +421,7 @@ def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
     k(n-1) edges. Returns the packer and the edges that could not be placed
     (unfinished on that early exit, which only success triggers).
     """
-    packer = _Packer(graph, k)
+    packer = _Packer(graph.n, k)
     target = k * (graph.n - 1)
     deferred: list[Edge] = []
     comp = packer.comp
@@ -418,13 +443,51 @@ def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
         cursor = i + 1
         if cursor == k:
             cursor = 0
+    # An augmenting chain only coarsens each forest's components (each swap
+    # drops an edge from the cycle its partner closes), so every deferred
+    # edge is still joined in every forest and offer never inserts directly
+    # here: it goes straight to the saturation skip and the exchange search.
     pending: list[Edge] = []
     for e in deferred:
         if packer.total == target:
             break
-        if packer.sat_find(e[0]) == packer.sat_find(e[1]) or not packer._augment(e):
+        if not packer.offer(e):
             pending.append(e)
     return packer, pending
+
+
+def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | None:
+    """Smallest j such that graph plus extra[:j] holds k edge-disjoint spanning
+    trees, or None if no prefix of extra (all of it included) does.
+
+    One direct run packs graph; each extra edge is then offered, in order, to
+    the same packer. This is exact. The forests always hold a maximum
+    union-independent set of the edges seen so far, and one more edge raises
+    that rank by at most one, exactly when it can be inserted directly or by
+    an augmenting chain. An edge that fails lies in the span of the placed
+    set, and stays there because placed edges are only ever moved between
+    forests, never dropped; so a failed edge is never offered again. For the
+    same reason a saturated class S keeps its k(|S|-1) placed edges, and so
+    stays saturated as edges arrive: the saturation skip stays sound.
+
+    The extra edges are checked as build_graph checks edges (endpoints in
+    range, no self-loop, no duplicate of a graph edge or of an edge offered
+    before), each just before it is offered.
+    """
+    n = graph.n
+    if n == 0:
+        raise ValueError("packing needs at least one vertex")
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    target = k * (n - 1)
+    packer, _ = _direct_run(graph, k)
+    if packer.total == target:
+        return 0
+    seen = set(graph.edge_list)
+    for j, e in enumerate(checked_edges(n, extra, seen), start=1):
+        if packer.offer(e) and packer.total == target:
+            return j
+    return None
 
 
 def _failed_partition(graph: Graph, packer: _Packer, pending: list[Edge], k: int) -> Partition:

@@ -10,7 +10,11 @@ arithmetic on the row offsets.
 
 The random graph process is a uniformly random permutation of all C(n,2)
 pairs; its prefix graphs G_m are monotone, so hitting times (the first m
-where a monotone property appears) are well-defined and binary-searchable.
+where a monotone property appears) are well-defined. Each hitting time is
+one forward walk over the process: a degree count for minimum degree k, and
+for k edge-disjoint spanning trees one packer that is fed the process edges
+one by one from the min-degree hitting time on.
+
 The permutation is SplitMix64(seed).shuffle over the pairs in ascending
 (u, v) order: for i from C(n,2)-1 down to 1, pair i swaps with pair
 j = below(i + 1), and a rejected word is followed by the next one.
@@ -23,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Edge, Graph, build_graph
-from .packing import has_k_spanning_trees
+
+# has_k_spanning_trees is not called here, but perfbench/tracing.py wraps this
+# module's binding of it; it stays bound until the tracer wraps
+# first_packing_prefix instead.
+from .packing import first_packing_prefix, has_k_spanning_trees  # noqa: F401
 from .rng import SplitMix64, check_seed, u64_array
 
 _TWO64 = 1 << 64
@@ -93,6 +101,14 @@ def prefix_graph(perm: EdgePermutation, m: int) -> Graph:
     return build_graph(perm.n, perm.order[:m])
 
 
+def _check_complete(perm: EdgePermutation) -> None:
+    count = perm.n * (perm.n - 1) // 2
+    if len(perm.order) != count:
+        raise ValueError(
+            f"a process on {perm.n} vertices orders all {count} pairs, got {len(perm.order)}"
+        )
+
+
 def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
     """Smallest m with delta(G_m) >= k; None means never.
 
@@ -101,6 +117,7 @@ def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    _check_complete(perm)
     n = perm.n
     if k > n - 1:
         return None
@@ -115,45 +132,27 @@ def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
             lacking -= 1
         if lacking == 0:
             return m
-    raise AssertionError("internal error: complete graph has min degree n-1")
+    # All C(n,2) distinct pairs make K_n, of minimum degree n-1 >= k.
+    raise ValueError("process order repeats a pair, so it misses another")
 
 
 def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
     """Smallest m with k edge-disjoint spanning trees in G_m; None means never.
 
-    sigma(G_m) is monotone in m, so the answer is found by probing prefixes
-    with a full packing computation each: start at the min-degree hitting
-    time (sigma <= delta rules out anything earlier), gallop upward to
-    bracket, then binary search.
+    sigma <= delta rules out anything before the min-degree hitting time
+    tau_delta, so one packing run starts on G_{tau_delta} and the process
+    edges after it are offered to the same packer one at a time (see
+    packing.first_packing_prefix): the whole search is one matroid-union
+    computation, however late the trees arrive.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    _check_complete(perm)
     if k > perm.n // 2:
         # Not even the complete graph packs that many: sigma(K_n) = n/2.
         return None
-    total = len(perm.order)
-
-    def packs(m: int) -> bool:
-        ok, _ = has_k_spanning_trees(prefix_graph(perm, m), k)
-        return ok
-
     low = hitting_time_min_degree(perm, k)
-    if packs(low):
-        return low
-    step = 1
-    high = low + step
-    while not packs(min(high, total)):
-        low = min(high, total)
-        step *= 2
-        high = low + step
-        if low == total:
-            raise AssertionError("internal error: complete graph must pack k <= n/2")
-    high = min(high, total)
-    # Invariant: packs(high) and not packs(low); bisect the open interval.
-    while high - low > 1:
-        mid = (low + high) // 2
-        if packs(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    offset = first_packing_prefix(prefix_graph(perm, low), perm.order[low:], k)
+    if offset is None:
+        raise AssertionError("internal error: complete graph must pack k <= n/2")
+    return low + offset

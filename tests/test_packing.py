@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from treepack.rng import derive_seed
 from treepack.packing import (
     Forest,
     extract_certificate,
+    first_packing_prefix,
     has_k_spanning_trees,
     max_packing,
     packing_number,
@@ -264,6 +266,60 @@ def test_random_graphs_match_oracle():
         if expected >= 1:
             ok, trees = has_k_spanning_trees(g, expected)
             assert ok and verify_packing(g, trees)
+
+
+def test_first_packing_prefix_against_fresh_runs():
+    # Each walk is checked by independent runs: graph + extra[:j] packs and
+    # graph + extra[:j-1] does not. Extra edges come in either orientation.
+    rng = random.Random(5150)
+    already = 0
+    for trial in range(80):
+        n = rng.randint(2, 14)
+        k = rng.randint(1, max(1, n // 2))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        start = rng.randint(0, len(pairs))
+        g = build_graph(n, pairs[:start])
+        extra = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs[start:]]
+
+        def packs(j):
+            return has_k_spanning_trees(build_graph(n, pairs[:start] + extra[:j]), k)[0]
+
+        # With every pair in, K_n packs k <= n/2 trees.
+        j = first_packing_prefix(g, extra, k)
+        assert j is not None and packs(j), trial
+        if j > 0:
+            assert not packs(j - 1), trial
+        already += j == 0
+    assert 0 < already < 80
+
+
+def test_first_packing_prefix_returns_zero_when_graph_packs():
+    assert first_packing_prefix(complete_graph(4), [], 2) == 0
+    assert first_packing_prefix(path_graph(5), [(0, 2), (1, 3)], 1) == 0
+
+
+def test_first_packing_prefix_none_when_extra_runs_out():
+    assert first_packing_prefix(build_graph(4, [(0, 1)]), [(2, 3)], 1) is None
+    assert first_packing_prefix(build_graph(4, [(0, 1)]), [(1, 2), (0, 3)], 2) is None
+    # K_4 has 6 edges; 3 spanning trees need 9.
+    assert first_packing_prefix(build_graph(4, []), complete_graph(4).edge_list, 3) is None
+
+
+def test_first_packing_prefix_rejects_bad_extra_edges():
+    # The same checks and messages as build_graph, against the graph's edges
+    # and the edges offered before; (0, 1) alone does not pack, so the walk
+    # reaches every bad edge.
+    g = build_graph(4, [(0, 1)])
+    for extra in ([(1, 0)], [(2, 2)], [(0, 4)], [(-1, 2)], [(2, 3), (3, 2)]):
+        with pytest.raises(ValueError) as expected:
+            build_graph(4, [(0, 1)] + extra)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            first_packing_prefix(g, extra, 1)
+    with pytest.raises(ValueError):
+        first_packing_prefix(build_graph(0, []), [], 1)
+    with pytest.raises(ValueError):
+        first_packing_prefix(g, [], 0)
 
 
 def test_certificates_against_brute_force_n_le_10():

@@ -6,10 +6,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from treepack import randgraph
+from treepack import packing, randgraph
 from treepack.experiments import p_grid
 from treepack.graph import connected_components, min_degree
 from treepack.oracle import brute_sigma
+from treepack.packing import has_k_spanning_trees
 from treepack.randgraph import (
     EdgePermutation,
     all_pairs,
@@ -148,6 +149,39 @@ class TestPrefixGraph:
             prefix_graph(perm, 7)
 
 
+def gallop_hitting_time_packing(perm, k):
+    """Reference search: independent packing probes on prefix graphs.
+
+    Starts at the min-degree hitting time, gallops upward to bracket the
+    first packing prefix, then bisects; each probe packs from scratch.
+    """
+    if k > perm.n // 2:
+        return None
+    total = len(perm.order)
+
+    def packs(m):
+        return has_k_spanning_trees(prefix_graph(perm, m), k)[0]
+
+    low = hitting_time_min_degree(perm, k)
+    if packs(low):
+        return low
+    step = 1
+    high = low + step
+    while not packs(min(high, total)):
+        assert high < total, "the complete graph packs k <= n/2"
+        low = high
+        step *= 2
+        high = low + step
+    high = min(high, total)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if packs(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
 class TestHittingTimes:
     def test_min_degree_worked_example(self):
         perm = EdgePermutation(n=3, order=((0, 1), (0, 2), (1, 2)))
@@ -231,3 +265,52 @@ class TestHittingTimes:
             hitting_time_min_degree(perm, 0)
         with pytest.raises(ValueError):
             hitting_time_packing(perm, 0)
+
+    def test_packing_matches_gallop_reference(self):
+        late = 0
+        for n in (16, 33, 64, 128):
+            for seed in range(8):
+                perm = sample_process(n, 2026 + seed)
+                for k in (1, 2, 3, 4):
+                    expected = gallop_hitting_time_packing(perm, k)
+                    assert hitting_time_packing(perm, k) == expected, (n, seed, k)
+                    late += expected > hitting_time_min_degree(perm, k)
+        # The sample must exercise the walk past tau_delta, not only the
+        # first packing run.
+        assert late >= 5
+
+    def test_late_search_packs_once(self, monkeypatch):
+        # Work bound: a late search builds one prefix graph and starts one
+        # packing run, however far past tau_delta the trees arrive.
+        perm = sample_process(128, 2027)
+        t_delta = hitting_time_min_degree(perm, 2)
+        calls = {"_direct_run": 0, "prefix_graph": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(packing, "_direct_run")
+        counting(randgraph, "prefix_graph")
+        t_sigma = hitting_time_packing(perm, 2)
+        assert t_sigma - t_delta > 50
+        assert calls == {"_direct_run": 1, "prefix_graph": 1}
+
+    def test_partial_permutation_rejected(self):
+        perm = EdgePermutation(n=4, order=((0, 1), (2, 3)))
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="all 6 pairs, got 2"):
+                hitting_time_min_degree(perm, k)
+            with pytest.raises(ValueError, match="all 6 pairs, got 2"):
+                hitting_time_packing(perm, k)
+        # The right length, but one pair three times: vertex 2 never joins.
+        perm = EdgePermutation(n=3, order=((0, 1), (0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="repeats a pair"):
+            hitting_time_min_degree(perm, 1)
+        with pytest.raises(ValueError, match="repeats a pair"):
+            hitting_time_packing(perm, 1)

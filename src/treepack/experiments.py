@@ -1,8 +1,10 @@
 """Monte Carlo campaigns over seeded random graphs.
 
-Four campaign kinds share one engine. "equality" measures how often the
-packing number sigma matches the minimum degree delta near the connectivity
-threshold; "dense" measures how often sigma falls strictly below delta when
+Four campaign kinds run through one driver, _campaign, each as a small spec
+(_Spec): its trial function, record type, summary row, headline fraction,
+grid and labels. "equality" measures how often the packing number sigma
+matches the minimum degree delta near the connectivity threshold; "dense"
+measures how often sigma falls strictly below delta when
 p = min(1, 51 log n / n); "hitting" compares the process hitting times for
 minimum degree k and for k disjoint spanning trees; "structure" tracks the
 degree-split and expansion facts the sparse regime relies on.
@@ -10,17 +12,17 @@ degree-split and expansion facts the sparse regime relies on.
 Every trial is a pure function of a seed derived from (master seed,
 experiment id, n, cell index, trial index), so campaigns are reproducible
 down to the byte in records.csv. Trials may run in worker processes; the
-engine walks cells in a fixed order and preserves trial order within each
+driver walks cells in a fixed order and preserves trial order within each
 cell, so the concurrent and sequential paths emit identical rows. Wall-clock
 timings go to a separate timings.csv, never into records.csv.
 
 Summary rows are recomputed from the records, never accumulated on the
 side, and carry a 95% normal-approximation halfwidth for the headline
-fraction. p rules: "th1" is a three-point near-threshold grid between
-1.1 log n / n and (log n + log log n)/n (the latter is the larger of the
-two at any feasible n); "th2" is min(1, 51 log n / n); "logn:<c>" is
-min(1, c log n / n); anything else parses as comma-separated explicit
-values used for every n.
+fraction; records.csv holds every record field but elapsed. p rules:
+"th1" is a three-point near-threshold grid between 1.1 log n / n and
+(log n + log log n)/n (the latter is the larger of the two at any feasible
+n); "th2" is min(1, 51 log n / n); "logn:<c>" is min(1, c log n / n);
+anything else parses as comma-separated explicit values used for every n.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, Sequence
 
 from .graph import min_degree
 from .packing import packing_number
@@ -43,19 +46,6 @@ EXPERIMENT_KINDS = ("equality", "dense", "hitting", "structure")
 
 EXPANSION_MAX_SIZE = 16
 EXPANSION_BUDGET = 100
-
-SIGMA_RECORD_FIELDS = (
-    "n", "p", "p_index", "trial", "seed", "edges", "delta", "sigma",
-    "equality", "strict", "catlin",
-)
-HITTING_RECORD_FIELDS = (
-    "n", "k", "k_index", "trial", "seed", "tau_delta", "tau_sigma", "equality",
-)
-STRUCTURE_RECORD_FIELDS = (
-    "n", "p", "p_index", "trial", "seed", "edges", "delta", "small_count",
-    "small_ok", "separation_ok", "delta_le_log30", "expansion_min",
-    "expansion_gt_log10", "expansion_ge_delta",
-)
 
 
 @dataclass(frozen=True)
@@ -272,8 +262,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _record_row(record, field_names) -> list[str]:
-    return [_format_value(getattr(record, name)) for name in field_names]
+def _format_row(row, names) -> list[str]:
+    return [_format_value(getattr(row, name)) for name in names]
 
 
 class _Sink:
@@ -297,7 +287,7 @@ class _Sink:
         if self._records is None:
             return
         for record in records:
-            self._rec_writer.writerow(_record_row(record, self.field_names))
+            self._rec_writer.writerow(_format_row(record, self.field_names))
             self._time_writer.writerow(
                 [record.n, cell_label, record.trial, f"{record.elapsed:.6f}"]
             )
@@ -349,8 +339,9 @@ def _halfwidth(fraction: float, trials: int) -> float:
     return 1.96 * math.sqrt(fraction * (1 - fraction) / trials)
 
 
-def _fraction(records, predicate) -> float:
-    return sum(1 for r in records if predicate(r)) / len(records)
+def _fraction(records, name: str) -> float:
+    """Share of records whose boolean field ``name`` is set."""
+    return sum(1 for r in records if getattr(r, name)) / len(records)
 
 
 def _mean(values) -> float:
@@ -358,165 +349,159 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _emit_summary(cfg, row_type, rows, series, ylabel, title) -> None:
+def _sigma_summary(n, p, records, headline) -> SummaryRow:
+    return SummaryRow(
+        n=n, p=p, trials=len(records),
+        fraction_equality=_fraction(records, "equality"),
+        fraction_strict=_fraction(records, "strict"),
+        fraction_catlin=_fraction(records, "catlin"),
+        mean_delta=_mean(r.delta for r in records),
+        mean_sigma=_mean(r.sigma for r in records),
+        ci_halfwidth=_halfwidth(headline, len(records)),
+    )
+
+
+def _hitting_summary(n, k, records, headline) -> HittingSummaryRow:
+    return HittingSummaryRow(
+        n=n, k=k, trials=len(records),
+        fraction_equality=headline,
+        mean_tau_delta=_mean(r.tau_delta for r in records),
+        mean_tau_sigma=_mean(r.tau_sigma for r in records),
+        ci_halfwidth=_halfwidth(headline, len(records)),
+    )
+
+
+def _structure_summary(n, p, records, headline) -> StructureSummaryRow:
+    return StructureSummaryRow(
+        n=n, p=p, trials=len(records),
+        fraction_separation=headline,
+        fraction_small_ok=_fraction(records, "small_ok"),
+        fraction_delta_le_log30=_fraction(records, "delta_le_log30"),
+        fraction_expansion_gt_log10=_fraction(records, "expansion_gt_log10"),
+        fraction_expansion_ge_delta=_fraction(records, "expansion_ge_delta"),
+        mean_delta=_mean(r.delta for r in records),
+        ci_halfwidth=_halfwidth(headline, len(records)),
+    )
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """What one campaign kind hands to _campaign.
+
+    A cell is one (n, grid value) pair; its trials get the arguments
+    (n, value, index, trial, seed), where index is the value's position in
+    the grid. The headline is the boolean record field whose per-cell
+    fraction is plotted and carries the confidence halfwidth.
+    """
+
+    trial: Callable[[tuple], object]
+    record: type
+    summarize: Callable[[int, object, list, float], object]
+    headline: str
+    grid: Callable[[int], Sequence]
+    cell_label: Callable[[int, object], str]
+    series_label: Callable[[int, object, int], str]
+    ylabel: str
+    title: str
+
+
+def _campaign(cfg: ExperimentConfig, spec: _Spec) -> list:
+    """Run every cell, stream records.csv, then write the summaries and plot."""
+    validate_config(cfg)
+    cells = []
+    for n in sorted(cfg.n_values):
+        for index, value in enumerate(spec.grid(n)):
+            argset = [
+                (n, value, index, t,
+                 derive_seed(cfg.master_seed, cfg.experiment, n, index, t))
+                for t in range(cfg.trials)
+            ]
+            cells.append(((n, index, value), argset))
+    sink = _Sink(cfg.out_dir, [f.name for f in fields(spec.record) if f.name != "elapsed"])
+    rows = []
+    points: dict[int, tuple[object, list[tuple[float, float]]]] = {}
+    try:
+        for (n, index, value), records in _execute_cells(cfg, cells, spec.trial):
+            sink.flush_cell(spec.cell_label(index, value), records)
+            headline = _fraction(records, spec.headline)
+            rows.append(spec.summarize(n, value, records, headline))
+            points.setdefault(index, (value, []))[1].append((n, headline))
+    finally:
+        sink.close()
     if cfg.out_dir is None:
-        return
-    names = [f.name for f in fields(row_type)]
+        return rows
+    names = [f.name for f in fields(rows[0])]
     emit_csv(
         os.path.join(cfg.out_dir, "summary.csv"),
         names,
-        [[_format_value(getattr(row, name)) for name in names] for row in rows],
+        [_format_row(row, names) for row in rows],
     )
     emit_json(os.path.join(cfg.out_dir, "summary.json"), [asdict(row) for row in rows])
     emit_svg_plot(
         os.path.join(cfg.out_dir, "plot.svg"),
-        title=title,
+        title=spec.title,
         xlabel="n",
-        ylabel=ylabel,
-        series=series,
+        ylabel=spec.ylabel,
+        series=[
+            (spec.series_label(index, value, len(points)), pts)
+            for index, (value, pts) in sorted(points.items())
+        ],
     )
-
-
-def _sigma_campaign(cfg: ExperimentConfig, strict: bool) -> list[SummaryRow]:
-    """Shared sigma campaign; ``strict`` makes sigma < delta the headline
-    fraction (dense) in place of sigma = delta (equality)."""
-    validate_config(cfg)
-    cells = []
-    for n in sorted(cfg.n_values):
-        for p_index, p in enumerate(p_grid(cfg.p_rule, n)):
-            argset = [
-                (n, p, p_index, t,
-                 derive_seed(cfg.master_seed, cfg.experiment, n, p_index, t))
-                for t in range(cfg.trials)
-            ]
-            cells.append(((n, p_index, p), argset))
-    sink = _Sink(cfg.out_dir, SIGMA_RECORD_FIELDS)
-    rows = []
-    points: dict[int, list[tuple[float, float]]] = {}
-    try:
-        for (n, p_index, p), records in _execute_cells(cfg, cells, _sigma_trial):
-            sink.flush_cell(f"p{p_index}", records)
-            headline = _fraction(
-                records, (lambda r: r.strict) if strict else (lambda r: r.equality)
-            )
-            row = SummaryRow(
-                n=n, p=p, trials=len(records),
-                fraction_equality=_fraction(records, lambda r: r.equality),
-                fraction_strict=_fraction(records, lambda r: r.strict),
-                fraction_catlin=_fraction(records, lambda r: r.catlin),
-                mean_delta=_mean(r.delta for r in records),
-                mean_sigma=_mean(r.sigma for r in records),
-                ci_halfwidth=_halfwidth(headline, len(records)),
-            )
-            rows.append(row)
-            points.setdefault(p_index, []).append(
-                (n, row.fraction_strict if strict else row.fraction_equality)
-            )
-    finally:
-        sink.close()
-    grid_size = len(points)
-    series = [
-        (f"p rule {cfg.p_rule}" if grid_size == 1 else f"{cfg.p_rule}[{i}]", pts)
-        for i, pts in sorted(points.items())
-    ]
-    ylabel = "fraction sigma < delta" if strict else "fraction sigma = delta"
-    _emit_summary(cfg, SummaryRow, rows, series, ylabel, f"{cfg.experiment} campaign")
     return rows
 
 
+def _p_spec(cfg: ExperimentConfig, **kind) -> _Spec:
+    """Spec over the p values of cfg.p_rule; one series per grid position."""
+    rule = cfg.p_rule
+    return _Spec(
+        grid=lambda n: p_grid(rule, n),
+        cell_label=lambda index, p: f"p{index}",
+        series_label=lambda index, p, size: (
+            f"p rule {rule}" if size == 1 else f"{rule}[{index}]"
+        ),
+        **kind,
+    )
+
+
+# Each runner builds its spec when called, so it names the trial function
+# through the module global at that moment: a wrapper set on the module (as
+# perfbench's tracer does) is then what the workers unpickle and run. A spec
+# table built at import would keep the unwrapped function.
 def run_equality_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per (n, p) cell: fraction of samples with sigma = delta."""
-    return _sigma_campaign(cfg, strict=False)
+    return _campaign(cfg, _p_spec(
+        cfg, trial=_sigma_trial, record=TrialRecord, summarize=_sigma_summary,
+        headline="equality", ylabel="fraction sigma = delta", title="equality campaign",
+    ))
 
 
 def run_dense_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per (n, p) cell: fractions with sigma < delta and the Catlin identity."""
-    return _sigma_campaign(cfg, strict=True)
+    return _campaign(cfg, _p_spec(
+        cfg, trial=_sigma_trial, record=TrialRecord, summarize=_sigma_summary,
+        headline="strict", ylabel="fraction sigma < delta", title="dense campaign",
+    ))
 
 
 def run_hitting_experiment(cfg: ExperimentConfig) -> list[HittingSummaryRow]:
     """Per (n, k) cell: fraction of processes with matching hitting times."""
-    validate_config(cfg)
-    cells = []
-    for n in sorted(cfg.n_values):
-        for k_index, k in enumerate(cfg.k_values):
-            argset = [
-                (n, k, k_index, t,
-                 derive_seed(cfg.master_seed, cfg.experiment, n, k_index, t))
-                for t in range(cfg.trials)
-            ]
-            cells.append(((n, k_index, k), argset))
-    sink = _Sink(cfg.out_dir, HITTING_RECORD_FIELDS)
-    rows = []
-    points: dict[int, tuple[int, list[tuple[float, float]]]] = {}
-    try:
-        for (n, k_index, k), records in _execute_cells(cfg, cells, _hitting_trial):
-            sink.flush_cell(f"k{k}", records)
-            fraction = _fraction(records, lambda r: r.equality)
-            rows.append(HittingSummaryRow(
-                n=n, k=k, trials=len(records),
-                fraction_equality=fraction,
-                mean_tau_delta=_mean(r.tau_delta for r in records),
-                mean_tau_sigma=_mean(r.tau_sigma for r in records),
-                ci_halfwidth=_halfwidth(fraction, len(records)),
-            ))
-            points.setdefault(k_index, (k, []))[1].append((n, fraction))
-    finally:
-        sink.close()
-    series = [(f"k={k}", pts) for _, (k, pts) in sorted(points.items())]
-    _emit_summary(
-        cfg, HittingSummaryRow, rows, series,
-        "fraction tau_sigma = tau_delta", "hitting-time campaign",
-    )
-    return rows
+    return _campaign(cfg, _Spec(
+        trial=_hitting_trial, record=HittingRecord, summarize=_hitting_summary,
+        headline="equality",
+        grid=lambda n: cfg.k_values,
+        cell_label=lambda index, k: f"k{k}",
+        series_label=lambda index, k, size: f"k={k}",
+        ylabel="fraction tau_sigma = tau_delta", title="hitting-time campaign",
+    ))
 
 
 def run_structure_experiment(cfg: ExperimentConfig) -> list[StructureSummaryRow]:
     """Per (n, p) cell: frequencies of the sparse-regime structural facts."""
-    validate_config(cfg)
-    cells = []
-    for n in sorted(cfg.n_values):
-        for p_index, p in enumerate(p_grid(cfg.p_rule, n)):
-            argset = [
-                (n, p, p_index, t,
-                 derive_seed(cfg.master_seed, cfg.experiment, n, p_index, t))
-                for t in range(cfg.trials)
-            ]
-            cells.append(((n, p_index, p), argset))
-    sink = _Sink(cfg.out_dir, STRUCTURE_RECORD_FIELDS)
-    rows = []
-    points: dict[int, list[tuple[float, float]]] = {}
-    try:
-        for (n, p_index, p), records in _execute_cells(cfg, cells, _structure_trial):
-            sink.flush_cell(f"p{p_index}", records)
-            fraction = _fraction(records, lambda r: r.separation_ok)
-            rows.append(StructureSummaryRow(
-                n=n, p=p, trials=len(records),
-                fraction_separation=fraction,
-                fraction_small_ok=_fraction(records, lambda r: r.small_ok),
-                fraction_delta_le_log30=_fraction(records, lambda r: r.delta_le_log30),
-                fraction_expansion_gt_log10=_fraction(
-                    records, lambda r: r.expansion_gt_log10
-                ),
-                fraction_expansion_ge_delta=_fraction(
-                    records, lambda r: r.expansion_ge_delta
-                ),
-                mean_delta=_mean(r.delta for r in records),
-                ci_halfwidth=_halfwidth(fraction, len(records)),
-            ))
-            points.setdefault(p_index, []).append((n, fraction))
-    finally:
-        sink.close()
-    grid_size = len(points)
-    series = [
-        (f"p rule {cfg.p_rule}" if grid_size == 1 else f"{cfg.p_rule}[{i}]", pts)
-        for i, pts in sorted(points.items())
-    ]
-    _emit_summary(
-        cfg, StructureSummaryRow, rows, series,
-        "fraction separation holds", "structure campaign",
-    )
-    return rows
+    return _campaign(cfg, _p_spec(
+        cfg, trial=_structure_trial, record=StructureRecord,
+        summarize=_structure_summary, headline="separation_ok",
+        ylabel="fraction separation holds", title="structure campaign",
+    ))
 
 
 RUNNERS = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -191,23 +191,6 @@ def crossing_edges(graph: Graph, partition: Partition) -> int:
     return sum(1 for u, v in graph.edge_list if block_of[u] != block_of[v])
 
 
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph on the given vertices, relabeled to 0..|S|-1.
-
-    Returns the subgraph and the relabeling map: new vertex i corresponds to
-    old vertex map[i].
-    """
-    inside = _check_vertex_set(graph, vertices)
-    mapping = sorted(inside)
-    new_index = {old: new for new, old in enumerate(mapping)}
-    edges = [
-        (new_index[u], new_index[v])
-        for u, v in graph.edge_list
-        if u in inside and v in inside
-    ]
-    return build_graph(len(mapping), edges), mapping
-
-
 def complete_graph(n: int) -> Graph:
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -249,6 +232,3 @@ def write_edge_list(graph: Graph, path: str) -> None:
         for u, v in graph.edge_list:
             handle.write(f"{u} {v}\n")
 
-
-def format_edge_list(edges: Sequence[Edge]) -> str:
-    return " ".join(f"{u}-{v}" for u, v in sorted(edges))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .graph import Graph, Partition, make_partition, validate_partition
+from .graph import Graph, Partition, crossing_edges, make_partition
 
 MAX_ORACLE_VERTICES = 12
 
@@ -64,9 +64,7 @@ def enumerate_partitions(n: int, min_blocks: int = 1) -> Iterator[Partition]:
 
 def nw_check(graph: Graph, k: int, partition: Partition) -> bool:
     """Nash-Williams/Tutte condition for one partition: cross >= k(|P|-1)."""
-    block_of = validate_partition(graph, partition)
-    cross = sum(1 for u, v in graph.edge_list if block_of[u] != block_of[v])
-    return cross >= k * (partition.block_count - 1)
+    return crossing_edges(graph, partition) >= k * (partition.block_count - 1)
 
 
 def _crossing_counts(graph: Graph) -> Iterator[tuple[int, int]]:

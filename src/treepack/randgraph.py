@@ -113,7 +113,12 @@ def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
     """Smallest m with delta(G_m) >= k; None means never.
 
     Tracked incrementally: a counter of vertices still below degree k hits
-    zero exactly at the hitting time.
+    zero exactly at the hitting time. An endpoint outside 0..n-1 on the
+    walked prefix raises ValueError, as in checked_edges. The walk usually
+    stops long before the end of the order, and a check of the whole order
+    up front would cost several times the walk, so the check rides in the
+    loop: indexing rejects endpoints >= n, and a sign test stops negative
+    ones, which would wrap around.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -123,15 +128,20 @@ def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
         return None
     degree = [0] * n
     lacking = n
-    for m, (u, v) in enumerate(perm.order, start=1):
-        degree[u] += 1
-        if degree[u] == k:
-            lacking -= 1
-        degree[v] += 1
-        if degree[v] == k:
-            lacking -= 1
-        if lacking == 0:
-            return m
+    try:
+        for m, (u, v) in enumerate(perm.order, start=1):
+            if u < 0 or v < 0:
+                raise IndexError
+            degree[u] += 1
+            if degree[u] == k:
+                lacking -= 1
+            degree[v] += 1
+            if degree[v] == k:
+                lacking -= 1
+            if lacking == 0:
+                return m
+    except IndexError:
+        raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}") from None
     # All C(n,2) distinct pairs make K_n, of minimum degree n-1 >= k.
     raise ValueError("process order repeats a pair, so it misses another")
 

@@ -43,9 +43,8 @@ def _x_positions(xs: list[float]) -> dict[float, float]:
     return {x: _PLOT_LEFT + span * (x - lo) / (hi - lo) for x in xs}
 
 
-def _y_position(y: float, y_min: float, y_max: float) -> float:
-    frac = (y - y_min) / (y_max - y_min)
-    return _PLOT_BOTTOM - (_PLOT_BOTTOM - _PLOT_TOP) * frac
+def _y_position(y: float) -> float:
+    return _PLOT_BOTTOM - (_PLOT_BOTTOM - _PLOT_TOP) * y
 
 
 def emit_svg_plot(
@@ -54,13 +53,11 @@ def emit_svg_plot(
     xlabel: str,
     ylabel: str,
     series: list[tuple[str, list[tuple[float, float]]]],
-    y_min: float = 0.0,
-    y_max: float = 1.0,
 ) -> None:
-    """Line chart of fraction-vs-n style data.
+    """Line chart of fraction-vs-n data on a fixed 0..1 y axis.
 
     series is a list of (label, points) pairs; points are (x, y) tuples
-    already sorted by x. Values outside [y_min, y_max] are clamped.
+    already sorted by x. Values outside [0, 1] are clamped.
     """
     xs = sorted({x for _, points in series for x, _ in points})
     parts = [
@@ -81,8 +78,8 @@ def emit_svg_plot(
     )
     # Y ticks at five even steps.
     for i in range(5):
-        value = y_min + (y_max - y_min) * i / 4
-        y = _y_position(value, y_min, y_max)
+        value = i / 4
+        y = _y_position(value)
         parts.append(
             f'<line x1="{_PLOT_LEFT - 4}" y1="{y:.1f}" x2="{_PLOT_LEFT}" '
             f'y2="{y:.1f}" stroke="black"/>'
@@ -118,8 +115,7 @@ def emit_svg_plot(
         color = _PALETTE[index % len(_PALETTE)]
         coords = []
         for x, y in points:
-            clamped = min(max(y, y_min), y_max)
-            coords.append((positions[x], _y_position(clamped, y_min, y_max)))
+            coords.append((positions[x], _y_position(min(max(y, 0.0), 1.0))))
         attr = " ".join(f"{px:.1f},{py:.1f}" for px, py in coords)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '

@@ -3,8 +3,8 @@
 Verifiers for the structural facts that drive the sparse-regime argument
 (small/large degree split, separation of small vertices, boundary expansion)
 and the dense-regime argument (degree window around (n-1)p, the edge-count
-consequence, Catlin's sigma = floor(m/(n-1)) identity), plus binomial tail
-bounds for overlaying theory curves on experiment plots.
+consequence, Catlin's sigma = floor(m/(n-1)) identity), plus the Chernoff
+bound on the binomial lower tail.
 
 These facts are asymptotic, so nothing here asserts them on a single
 sample; each verifier reports what it saw and the experiment layer turns
@@ -237,35 +237,12 @@ def catlin_check(graph: Graph) -> bool:
     return packing_number(graph) == graph.m // (graph.n - 1)
 
 
-def _check_chernoff_args(n: int, p: float, a: float) -> float:
+def chernoff_lower(n: int, p: float, a: float) -> float:
+    """Bound on Pr(Bin(n,p) < np - a): exp(-a^2 / 2np), capped at 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
-    return n * p
-
-
-def chernoff_lower(n: int, p: float, a: float) -> float:
-    """Bound on Pr(Bin(n,p) < np - a): exp(-a^2 / 2np), capped at 1."""
-    np_ = _check_chernoff_args(n, p, a)
-    return min(1.0, math.exp(-a * a / (2 * np_)))
-
-
-def chernoff_upper(n: int, p: float, a: float, simplified: bool = False) -> float:
-    """Bound on Pr(Bin(n,p) > np + a), capped at 1.
-
-    The general form is exp(-a^2/(2np) + a^3/(2(np)^2)); with
-    simplified=True the weaker exp(-a^2/(4np)) is returned, valid only for
-    a <= np/2.
-    """
-    np_ = _check_chernoff_args(n, p, a)
-    if simplified:
-        if a > np_ / 2:
-            raise ValueError(f"simplified form needs a <= np/2, got a={a}, np={np_}")
-        return min(1.0, math.exp(-a * a / (4 * np_)))
-    exponent = -a * a / (2 * np_) + a**3 / (2 * np_ * np_)
-    if exponent >= 0:
-        return 1.0
-    return math.exp(exponent)
+    return min(1.0, math.exp(-a * a / (2 * (n * p))))

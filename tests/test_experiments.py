@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from treepack import experiments
+from treepack import cli, experiments
 from treepack.experiments import (
     ExperimentConfig,
     build_config,
@@ -348,3 +349,105 @@ class TestOutputs:
 
         parsed = json.loads((tmp_path / "summary.json").read_text())
         assert parsed[0]["trials"] == 2
+
+
+# SHA-256 of the four output files of one tiny sequential campaign per kind,
+# recorded before the runners shared one driver. th1 is a three-point grid
+# (series "th1[i]") and th2 and logn:2 single points (series "p rule ...").
+GOLDEN = {
+    "equality": (
+        dict(n_values=(8, 16), p_rule="th1", trials=3),
+        [(n, f"p{i}", t) for n in (8, 16) for i in range(3) for t in range(3)],
+        {
+            "records.csv": "22a704a77b8d2ac78dbf75fb165db4b5669e19cafb082b6e86a59ad8dcf158cd",
+            "summary.csv": "58bed2486414323883cf8829d2af5be6be3b401b9dd7de9c16bfd96f0c975721",
+            "summary.json": "99abf9ac724852118812cd966816a071cf969541f07407bb85a25a98ac14e826",
+            "plot.svg": "385dd4751818977f84b73df37fd8aaac6a2636377c87bbbc0ebe99bb9b13e438",
+        },
+    ),
+    "dense": (
+        dict(n_values=(8, 16), p_rule="th2", trials=2),
+        [(n, "p0", t) for n in (8, 16) for t in range(2)],
+        {
+            "records.csv": "424f158eb341c01b51d3c28d0641eb78805e9e84150dc6758ee01fd6aa402b69",
+            "summary.csv": "d4a92cd82baba38f39bb7c2ac20251dfa5492919cee1667cd1d254e5bf5db12f",
+            "summary.json": "1251a72ca3aa786904ee42d60c9b73edcc5424b7b516b246cbc620ce569f8339",
+            "plot.svg": "610f8ad53f1750d448243a2aa72303905b253fcede6b7d6235546c249949a1c6",
+        },
+    ),
+    "hitting": (
+        dict(n_values=(8, 12), k_values=(1, 2), trials=3),
+        [(n, f"k{k}", t) for n in (8, 12) for k in (1, 2) for t in range(3)],
+        {
+            "records.csv": "454f68c6acc27e54572fc910f872e0f4640096c01a0c6248775212d7f2e6b1e5",
+            "summary.csv": "4fb6a6fd340ff69af1396298e4ff30ef0830d035c3fffca446c59e6986299e2a",
+            "summary.json": "43159115f09278db5c8dd8146fcdda2843a24f9b94a9e32be6a1c0eb3bc59c10",
+            "plot.svg": "4ca3f8b8130db09967166f9d8d396f5bbae4d266481250ec7bd82c15c9fc7248",
+        },
+    ),
+    "structure": (
+        dict(n_values=(16, 32), p_rule="logn:2", trials=2),
+        [(n, "p0", t) for n in (16, 32) for t in range(2)],
+        {
+            "records.csv": "7ce8ad78f2f3f387109d9f6a30397542f55b7dc60bcd83180523188789b20a0e",
+            "summary.csv": "838d977bce0b25f8ffe79c935d78a3f873b65c5d12954a75f023e7c114404d85",
+            "summary.json": "beb4c2e1e3a9d19376ff560c4a967943e9499d08552b0f86a128683d2a79aa61",
+            "plot.svg": "f08e4c4b0cb160445b40966455352149182e19647d9369591d29e060ac724d2b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_campaign_bytes(kind, tmp_path):
+    settings, cells, digests = GOLDEN[kind]
+    cfg = ExperimentConfig(
+        experiment=kind, master_seed=2026, out_dir=str(tmp_path), sequential=True,
+        **settings,
+    )
+    experiments.RUNNERS[kind](cfg)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    with open(tmp_path / "timings.csv") as fh:
+        timings = list(csv.DictReader(fh))
+    assert [(int(r["n"]), r["cell"], int(r["trial"])) for r in timings] == cells
+
+
+class TestHookContract:
+    """A wrapper set on the module's trial function or RUNNERS entry is the
+    one the campaign calls; perfbench's tracer relies on this."""
+
+    @pytest.mark.parametrize("kind, trial_name", [
+        ("equality", "_sigma_trial"),
+        ("dense", "_sigma_trial"),
+        ("hitting", "_hitting_trial"),
+        ("structure", "_structure_trial"),
+    ])
+    def test_driver_calls_module_trial(self, monkeypatch, kind, trial_name):
+        original = getattr(experiments, trial_name)
+        calls = []
+
+        def counting(args):
+            calls.append(args)
+            return original(args)
+
+        monkeypatch.setattr(experiments, trial_name, counting)
+        settings, cells, _ = GOLDEN[kind]
+        experiments.RUNNERS[kind](ExperimentConfig(
+            experiment=kind, master_seed=2026, sequential=True, **settings,
+        ))
+        assert len(calls) == len(cells)
+
+    def test_cli_calls_through_runners(self, monkeypatch, tmp_path, capsys):
+        original = experiments.RUNNERS["structure"]
+        configs = []
+
+        def counting(cfg):
+            configs.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setitem(experiments.RUNNERS, "structure", counting)
+        argv = ["experiment", "structure", "--n", "16", "--trials", "1",
+                "--sequential", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert [cfg.n_values for cfg in configs] == [(16,)]

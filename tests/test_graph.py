@@ -9,7 +9,6 @@ from treepack.graph import (
     cycle_graph,
     edge_boundary,
     edge_boundary_size,
-    induced_subgraph,
     make_partition,
     max_degree,
     min_degree,
@@ -103,14 +102,6 @@ def test_validate_partition_rejects_overlap_and_gap():
         validate_partition(g, make_partition([{0, 1}]))
     with pytest.raises(ValueError, match="outside"):
         validate_partition(g, make_partition([{0, 1, 2, 7}]))
-
-
-def test_induced_subgraph_relabels():
-    g = build_graph(5, [(0, 2), (2, 4), (1, 3)])
-    sub, mapping = induced_subgraph(g, {0, 2, 4})
-    assert mapping == [0, 2, 4]
-    assert sub.n == 3
-    assert sub.edge_list == ((0, 1), (1, 2))
 
 
 def test_edge_list_roundtrip(tmp_path):

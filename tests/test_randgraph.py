@@ -314,3 +314,12 @@ class TestHittingTimes:
             hitting_time_min_degree(perm, 1)
         with pytest.raises(ValueError, match="repeats a pair"):
             hitting_time_packing(perm, 1)
+
+    def test_out_of_range_endpoint_rejected(self):
+        # A negative endpoint must not wrap around to vertex n-1, and one
+        # past n-1 must not surface as an IndexError.
+        for order in (((0, -1), (1, 2), (0, 1)), ((0, 3), (1, 2), (0, 1))):
+            perm = EdgePermutation(n=3, order=order)
+            for search in (hitting_time_min_degree, hitting_time_packing):
+                with pytest.raises(ValueError, match=r"endpoint outside 0\.\.2"):
+                    search(perm, 1)

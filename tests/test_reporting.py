@@ -84,3 +84,11 @@ def test_svg_escapes_labels(tmp_path):
     assert "a&lt;b" in text
     assert "p&amp;q" in text
     ET.parse(path)
+
+
+def test_svg_clamps_to_unit_axis(tmp_path):
+    path = tmp_path / "plot.svg"
+    emit_svg_plot(str(path), "t", "n", "y", [("s", [(1, -0.5), (2, 0.0), (3, 1.0), (4, 1.5)])])
+    ys = [float(c.get("cy")) for c in svg_elements(path, "circle")]
+    assert ys[0] == ys[1] and ys[2] == ys[3]
+    assert ys[0] > ys[2]

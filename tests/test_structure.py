@@ -12,7 +12,6 @@ from treepack.structure import (
     catlin_check,
     check_small_separation,
     chernoff_lower,
-    chernoff_upper,
     classify_small_large,
     degree_window_check,
     min_expansion_ratio,
@@ -293,34 +292,13 @@ class TestChernoff:
     def test_lower_exact_value(self):
         assert chernoff_lower(100, 0.5, 50) == pytest.approx(math.exp(-25))
 
-    def test_upper_general_form(self):
-        np_ = 50.0
-        expected = math.exp(-100 / (2 * np_) + 1000 / (2 * np_ * np_))
-        assert chernoff_upper(100, 0.5, 10) == pytest.approx(expected)
-
-    def test_upper_simplified_form(self):
-        assert chernoff_upper(100, 0.5, 10, simplified=True) == pytest.approx(
-            math.exp(-100 / 200)
-        )
-
-    def test_simplified_requires_small_deviation(self):
-        with pytest.raises(ValueError):
-            chernoff_upper(100, 0.5, 26, simplified=True)
-
     def test_lower_monotone_in_deviation(self):
         values = [chernoff_lower(200, 0.3, a) for a in (1, 5, 10, 20, 40)]
         assert values == sorted(values, reverse=True)
 
     def test_bounds_stay_in_unit_interval(self):
         for a in (0.001, 1, 10, 60):
-            lower = chernoff_lower(50, 0.5, a)
-            upper = chernoff_upper(50, 0.5, a)
-            assert 0 < lower <= 1
-            assert 0 < upper <= 1
-
-    def test_upper_caps_at_one(self):
-        # Exponent turns positive once a exceeds np.
-        assert chernoff_upper(10, 0.5, 100) == 1.0
+            assert 0 < chernoff_lower(50, 0.5, a) <= 1
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .graph import min_degree
 from .packing import packing_number
-from .randgraph import hitting_time_min_degree, hitting_time_packing, sample_gnp, sample_process
+from .randgraph import _packing_time_after, hitting_time_min_degree, sample_gnp, sample_process
 from .reporting import emit_csv, emit_json, emit_svg_plot
 from .rng import check_seed, derive_seed
 from .structure import check_small_separation, min_expansion_ratio, small_count_check
@@ -210,12 +210,12 @@ def _hitting_trial(args: tuple) -> HittingRecord:
     start = time.perf_counter()
     perm = sample_process(n, seed)
     tau_delta = hitting_time_min_degree(perm, k)
-    tau_sigma = hitting_time_packing(perm, k)
     # k <= n/2 guarantees both properties arrive by the complete graph.
-    if tau_delta is None or tau_sigma is None:
+    if tau_delta is None:
         raise AssertionError(
             f"internal error: hitting time missing for n={n}, k={k}, seed={seed}"
         )
+    tau_sigma = _packing_time_after(perm, k, tau_delta)
     elapsed = time.perf_counter() - start
     return HittingRecord(
         n=n, k=k, k_index=k_index, trial=trial, seed=seed,

@@ -87,21 +87,29 @@ class _Packer:
 
     Component labels are stored transposed, comp[v][i] = component of vertex
     v in forest i, so "separated in some forest" is a single list comparison.
+    Labels are unique across forests, and csize[c] is the size of the
+    component labeled c.
+
+    Every forest is kept rooted: parent[i][v] is v's parent in forest i (-1
+    at a root) and depth[i][v] its depth plus an offset shared by its whole
+    tree, so the exchange search climbs tree paths with nothing to rebuild.
+    A link re-roots the smaller side at its own endpoint and hangs it under
+    the other endpoint, relabeling it in the same walk. A cut makes the
+    child end a root; its subtree keeps its depths, an offset _scan never
+    sees because it compares depths only inside one tree.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self.adj: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
-        # Forest i starts with the singleton components i*n + v.
+        self.adj: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
+        self.parent: list[list[int]] = [[-1] * n for _ in range(k)]
+        self.depth: list[list[int]] = [[0] * n for _ in range(k)]
+        # Forest i starts with the singleton components i*n + v; a cut draws
+        # the next unused label, len(csize).
         self.comp: list[list[int]] = [[i * n + v for i in range(k)] for v in range(n)]
-        self.members: list[dict[int, set[int]]] = [
-            {i * n + v: {v} for v in range(n)} for i in range(k)
-        ]
+        self.csize: list[int] = [1] * (k * n)
         self.size: list[int] = [0] * k
-        self.version: list[int] = [0] * k
-        self._arrays: list[tuple[int, list[int], list[int]] | None] = [None] * k
-        self._next_comp = k * n
         self.total = 0
         # Union-find over saturated vertex sets; an edge inside one class can
         # never be placed, so repeat failures are skipped cheaply.
@@ -133,86 +141,66 @@ class _Packer:
 
     def forest_add(self, i: int, e: Edge) -> None:
         u, v = e
-        comp, members = self.comp, self.members[i]
+        comp, csize = self.comp, self.csize
         cu, cv = comp[u][i], comp[v][i]
         if cu == cv:
             raise AssertionError(f"internal error: cycle insert {e} in forest {i}")
-        self.adj[i][u].add(v)
-        self.adj[i][v].add(u)
+        su, sv = csize[cu], csize[cv]
+        if su < sv:
+            u, v, cu, su, sv = v, u, cv, sv, su
+        csize[cu] = su + sv
+        # Re-root the smaller side (v's) at v under u, joining component cu.
+        adj, parent, depth = self.adj[i], self.parent[i], self.depth[i]
+        parent[v] = u
+        depth[v] = depth[u] + 1
+        comp[v][i] = cu
+        stack = [v] if sv > 1 else []  # a singleton has no subtree to walk
+        while stack:
+            x = stack.pop()
+            px, dy = parent[x], depth[x] + 1
+            for y in adj[x]:
+                if y != px:
+                    parent[y] = x
+                    depth[y] = dy
+                    comp[y][i] = cu
+                    stack.append(y)
+        adj[u].append(v)
+        adj[v].append(u)
         self.size[i] += 1
         self.total += 1
-        self.version[i] += 1
-        if len(members[cu]) < len(members[cv]):
-            cu, cv = cv, cu
-        # Absorb the smaller component cv into cu.
-        moving = members.pop(cv)
-        for x in moving:
-            comp[x][i] = cu
-        members[cu] |= moving
 
     def forest_remove(self, i: int, e: Edge) -> None:
         u, v = e
-        self.adj[i][u].remove(v)
-        self.adj[i][v].remove(u)
+        adj, parent = self.adj[i], self.parent[i]
+        adj[u].remove(v)
+        adj[v].remove(u)
         self.size[i] -= 1
         self.total -= 1
-        self.version[i] += 1
+        if parent[u] == v:
+            parent[u] = -1
+        else:
+            parent[v] = -1
         # The component containing e splits in two; find the smaller side by
-        # growing both halves in lockstep, then relabel it.
-        adj = self.adj[i]
-        sides = ([u], [v])
-        seen = ({u}, {v})
-        idx = [0, 0]
-        smaller = -1
-        while True:
-            for s in (0, 1):
-                if idx[s] < len(sides[s]):
-                    x = sides[s][idx[s]]
-                    idx[s] += 1
-                    for y in adj[x]:
-                        if y not in seen[s]:
-                            seen[s].add(y)
-                            sides[s].append(y)
-                elif idx[s] == len(sides[s]):
-                    smaller = s
-                    break
-            if smaller >= 0:
-                break
-        members = self.members[i]
-        old = self.comp[u][i]
-        fresh = self._next_comp
-        self._next_comp += 1
-        moving = seen[smaller]
-        members[old] -= moving
-        members[fresh] = moving
+        # growing both halves in lockstep, then relabel it. In a tree the one
+        # visited neighbour of a vertex is the one it was reached from.
+        sides, came, idx = ([u], [v]), ([-1], [-1]), [0, 0]
+        s = 0
+        while idx[s] < len(sides[s]):
+            at = idx[s]
+            x, back = sides[s][at], came[s][at]
+            idx[s] = at + 1
+            for y in adj[x]:
+                if y != back:
+                    sides[s].append(y)
+                    came[s].append(x)
+            s ^= 1
+        comp, csize = self.comp, self.csize
+        moving = sides[s]
+        fresh = len(csize)
+        csize[comp[u][i]] -= len(moving)
+        csize.append(len(moving))
         for x in moving:
-            self.comp[x][i] = fresh
-
-    def tree_arrays(self, i: int) -> tuple[list[int], list[int]]:
-        """Parent and depth arrays for forest i, cached per version."""
-        cached = self._arrays[i]
-        if cached is not None and cached[0] == self.version[i]:
-            return cached[1], cached[2]
-        n = self.n
-        adj = self.adj[i]
-        parent = [-1] * n
-        depth = [0] * n
-        visited = [False] * n
-        for root in range(n):
-            if visited[root]:
-                continue
-            visited[root] = True
-            queue = deque([root])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if not visited[y]:
-                        visited[y] = True
-                        parent[y] = x
-                        depth[y] = depth[x] + 1
-                        queue.append(y)
-        self._arrays[i] = (self.version[i], parent, depth)
-        return parent, depth
+            comp[x][i] = fresh
 
     # -- exchange search -----------------------------------------------------
 
@@ -288,8 +276,7 @@ class _Packer:
         forest, else None. Both walk pointers climb toward the paths' meeting
         point; jump entries skip stretches labeled earlier in this search.
         """
-        parent, depth = self.tree_arrays(i)
-        comp = self.comp
+        parent, depth, comp = self.parent[i], self.depth[i], self.comp
         x = _jump_find(jump, v)
         y = _jump_find(jump, other)
         while x != y:
@@ -367,7 +354,14 @@ class _Packer:
         spanning tree on S, so no edge inside S can ever be placed.
         """
         smallest = min(range(self.k), key=lambda i: self.size[i])
-        block = self.members[smallest][self.comp[e0[0]][smallest]]
+        adj_s = self.adj[smallest]
+        block = {e0[0]}
+        stack = [e0[0]]
+        while stack:
+            for w in adj_s[stack.pop()]:
+                if w not in block:
+                    block.add(w)
+                    stack.append(w)
         inside = 0
         for adj_i in self.adj:
             for v in block:
@@ -386,9 +380,9 @@ class _Packer:
     def snapshot_trees(self) -> tuple[Forest, ...]:
         return tuple(
             Forest(edges=tuple(sorted(
-                (u, v) for u in range(self.n) for v in self.adj[i][u] if u < v
+                (v, p) if v < p else (p, v) for v, p in enumerate(parent) if p >= 0
             )))
-            for i in range(self.k)
+            for parent in self.parent
         )
 
     def saturated_partition(self) -> Partition:

@@ -161,8 +161,13 @@ def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
     if k > perm.n // 2:
         # Not even the complete graph packs that many: sigma(K_n) = n/2.
         return None
-    low = hitting_time_min_degree(perm, k)
-    offset = first_packing_prefix(prefix_graph(perm, low), perm.order[low:], k)
+    return _packing_time_after(perm, k, hitting_time_min_degree(perm, k))
+
+
+def _packing_time_after(perm: EdgePermutation, k: int, tau_delta: int) -> int:
+    """hitting_time_packing for 1 <= k <= n/2, given tau_delta =
+    hitting_time_min_degree(perm, k), for callers that need both times."""
+    offset = first_packing_prefix(prefix_graph(perm, tau_delta), perm.order[tau_delta:], k)
     if offset is None:
         raise AssertionError("internal error: complete graph must pack k <= n/2")
-    return low + offset
+    return tau_delta + offset

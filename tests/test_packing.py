@@ -18,10 +18,11 @@ from treepack.graph import (
     singleton_partition,
 )
 from treepack.oracle import brute_has_k, brute_sigma, nw_check
-from treepack.randgraph import sample_gnp
+from treepack.randgraph import prefix_graph, sample_gnp, sample_process
 from treepack.rng import derive_seed
 from treepack.packing import (
     Forest,
+    _Packer,
     extract_certificate,
     first_packing_prefix,
     has_k_spanning_trees,
@@ -359,3 +360,106 @@ def test_moderately_dense_random_consistency():
         g = random_graph(rng, n, 0.6)
         result = max_packing(g)
         check_result(g, result)
+
+
+# -- rooted forests -----------------------------------------------------------
+
+def audit_forest(packer, i):
+    """The rooted-forest invariants of forest i of a packer."""
+    n = packer.n
+    adj, parent, depth = packer.adj[i], packer.parent[i], packer.depth[i]
+    parent_edges = [normalize_edge(v, p) for v, p in enumerate(parent) if p >= 0]
+    adj_edges = [normalize_edge(v, w) for v in range(n) for w in adj[v] if v < w]
+    assert len(parent_edges) == len(adj_edges) == packer.size[i]
+    assert set(parent_edges) == set(adj_edges)
+    labels = set()
+    reached = [False] * n
+    for start in range(n):
+        if reached[start]:
+            continue
+        reached[start] = True
+        tree = [start]
+        for x in tree:
+            for y in adj[x]:
+                if not reached[y]:
+                    reached[y] = True
+                    tree.append(y)
+        assert sum(parent[v] < 0 for v in tree) == 1
+        for v in tree:
+            if parent[v] >= 0:
+                assert depth[v] == depth[parent[v]] + 1
+        tree_labels = {packer.comp[v][i] for v in tree}
+        assert len(tree_labels) == 1
+        label = tree_labels.pop()
+        assert label not in labels
+        labels.add(label)
+        assert packer.csize[label] == len(tree)
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Audit the touched forest after every link and cut; counts both."""
+    calls = {"add": 0, "remove": 0}
+    add, remove = _Packer.forest_add, _Packer.forest_remove
+
+    def audited_add(self, i, e):
+        add(self, i, e)
+        calls["add"] += 1
+        audit_forest(self, i)
+
+    def audited_remove(self, i, e):
+        remove(self, i, e)
+        calls["remove"] += 1
+        audit_forest(self, i)
+
+    monkeypatch.setattr(_Packer, "forest_add", audited_add)
+    monkeypatch.setattr(_Packer, "forest_remove", audited_remove)
+    return calls
+
+
+def test_rooted_forests_on_complete_graphs(audited):
+    for n in (2, 5, 9, 16, 33):
+        g = complete_graph(n)
+        result = max_packing(g)
+        assert result.sigma == n // 2
+        check_result(g, result)
+    assert audited["add"] > 0
+
+
+def test_rooted_forests_through_exchange_chains(audited):
+    for n in (16, 32, 64):
+        for c in (2, 4, 8):
+            p = min(1.0, c * math.log(n) / n)
+            g = sample_gnp(n, p, derive_seed(2026, "rooted", n, c, 0))
+            check_result(g, max_packing(g))
+    assert audited["remove"] > 0
+
+
+def test_rooted_forests_through_prefix_walks(audited):
+    removes = audited["remove"]
+    for n in (12, 24, 48):
+        perm = sample_process(n, derive_seed(2026, "rooted-walk", n, 0, 0))
+        for k in (1, 2, 3):
+            # Start below the min-degree hitting time, so the walk offers
+            # many edges to the packer that packed the start.
+            start = len(perm.order) // 8
+            j = first_packing_prefix(prefix_graph(perm, start), perm.order[start:], k)
+            assert j is not None
+            assert has_k_spanning_trees(prefix_graph(perm, start + j), k)[0]
+    assert audited["remove"] > removes
+
+
+# -- the window between the paper's two regimes -------------------------------
+
+@pytest.mark.parametrize("c", [4, 6, 8])
+def test_window_draws(c):
+    # p = c log n / n with 1.1 < c < 51, where neither of the paper's
+    # theorems applies. sigma <= min(delta, m // (n-1)) always holds;
+    # whether it is an equality here is open, so it is not asserted.
+    n = 256
+    for t in range(2):
+        g = sample_gnp(n, c * math.log(n) / n, derive_seed(2026, "gap", n, 0, t))
+        result = max_packing(g)
+        check_result(g, result)
+        assert packing_number(g) == result.sigma
+        assert 1 <= result.sigma <= min(min_degree(g), g.m // (n - 1))

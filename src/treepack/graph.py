@@ -30,9 +30,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edge_list)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 

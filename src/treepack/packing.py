@@ -19,10 +19,12 @@ that one attempt for a single edge: a direct insert when some forest
 separates its endpoints, else the saturation skip, else the exchange search.
 
 When the search fails, the labeled edges close over a vertex set on which
-every forest already induces a spanning tree. Those closures, re-derived
-against the final forests and merged where they overlap, are exactly the
-blocks of a partition violating the Nash-Williams/Tutte count; every
-certificate is re-validated through nw_check before it escapes this module.
+every forest already induces a spanning tree. The packer merges each such
+set into its saturation classes, and no later step of the run breaks them
+(see _Packer). So the classes a failed run ends with are the blocks of a
+partition violating the Nash-Williams/Tutte count: the certificate is read
+straight off the run and re-validated through nw_check before it escapes
+this module.
 
 max_packing and packing_number share one descent over k. It starts at the
 upper bound min(delta, m/(n-1)); a failed run's certificate P bounds sigma
@@ -97,6 +99,22 @@ class _Packer:
     the other endpoint, relabeling it in the same walk. A cut makes the
     child end a root; its subtree keeps its depths, an offset _scan never
     sees because it compares depths only inside one tree.
+
+    A union-find (sat_parent) holds the saturated classes: vertex sets S on
+    which every forest is a spanning tree, so no edge inside S can be placed
+    and offer skips it without a search. A class stays saturated for good:
+    - When a search fails, every forest is a spanning tree on its seen set,
+      which is merged into the classes; classes merged through a shared
+      vertex stay saturated.
+    - No chain edge lies inside a class S. The terminal is split apart in
+      some forest, so it is not inside S; and if a trigger edge were inside
+      S, the forest path it labels would lie inside S too.
+    - forest_add refuses cycles, so no edge inside S is ever added, and S
+      keeps its |S|-1 edges in each forest.
+    When a run fails, every unplaced edge lies inside a class and every edge
+    crossing the classes is placed. Each forest holds at most |P|-1 crossing
+    edges, and one short of n-1 edges holds fewer, so the classes form a
+    partition P with fewer than k(|P|-1) crossing edges.
     """
 
     def __init__(self, n: int, k: int):
@@ -111,15 +129,10 @@ class _Packer:
         self.csize: list[int] = [1] * (k * n)
         self.size: list[int] = [0] * k
         self.total = 0
-        # Union-find over saturated vertex sets; an edge inside one class can
-        # never be placed, so repeat failures are skipped cheaply.
-        self.reset_saturation()
+        self.sat_parent = list(range(n))
+        self.sat_size = [1] * n
 
     # -- forest bookkeeping ------------------------------------------------
-
-    def reset_saturation(self) -> None:
-        self.sat_parent = list(range(self.n))
-        self.sat_size = [1] * self.n
 
     def sat_find(self, v: int) -> int:
         parent = self.sat_parent
@@ -224,25 +237,15 @@ class _Packer:
         return self._augment(e)
 
     def _augment(self, e0: Edge) -> bool:
-        """Place e0 by an augmenting chain; on failure saturate its closure."""
-        terminal, insert_at, label, seen = self._closure(e0)
-        if terminal is not None:
-            self._apply_chain(terminal, insert_at, label)
-            return True
-        anchor = e0[0]
-        for v in seen:
-            self._sat_union(anchor, v)
-        return False
+        """Place e0 by an augmenting chain; on failure saturate its closure.
 
-    def _closure(self, e0: Edge):
-        """Breadth-first exchange search from unplaced edge e0.
-
-        Grows the set of labeled edges (and the vertex set ``seen`` they
-        touch) by walking, for each newly reached vertex, the tree paths to
-        its labeled partner in every forest. Stops at the first labeled edge
-        whose endpoints are separated in some forest (an augmenting chain
-        terminal) or when the closure is exhausted, in which case every
-        forest induces a spanning tree on ``seen`` and e0 is unplaceable.
+        Breadth-first exchange search: grows the set of labeled edges (and
+        the vertex set ``seen`` they touch) by walking, for each newly
+        reached vertex, the tree paths to its labeled partner in every
+        forest. Stops at the first labeled edge whose endpoints are
+        separated in some forest (an augmenting chain terminal) or when the
+        closure is exhausted, in which case every forest induces a spanning
+        tree on ``seen`` and e0 is unplaceable.
         """
         k = self.k
         label: dict[Edge, tuple[Edge, int] | None] = {e0: None}
@@ -256,8 +259,12 @@ class _Packer:
             for i in range(k):
                 hit = self._scan(i, v, other, bring, label, jumps[i], seen, work)
                 if hit is not None:
-                    return hit[0], hit[1], label, seen
-        return None, -1, label, seen
+                    self._apply_chain(hit[0], hit[1], label)
+                    return True
+        anchor = e0[0]
+        for v in seen:
+            self._sat_union(anchor, v)
+        return False
 
     def _scan(
         self,
@@ -322,59 +329,6 @@ class _Packer:
             target = j
             e = prev
 
-    # -- certificates --------------------------------------------------------
-
-    def close_pending(self, pending: list[Edge]) -> None:
-        """Re-derive saturated classes for the final forests.
-
-        Exchange chains can shuffle edges out of a block that was saturated
-        mid-run, so the certificate is always rebuilt from closures against
-        the finished forests: call reset_saturation first, then this. Every
-        pending (unplaced) edge must still be closed, which is guaranteed
-        because failed edges lie in the span of the placed set forever.
-        """
-        for e in pending:
-            if self.sat_find(e[0]) == self.sat_find(e[1]):
-                continue
-            if self._hopeless_by_count(e):
-                continue
-            terminal, _, _, seen = self._closure(e)
-            if terminal is not None:
-                raise AssertionError("internal error: pending edge admits a chain")
-            anchor = e[0]
-            for v in seen:
-                self._sat_union(anchor, v)
-
-    def _hopeless_by_count(self, e0: Edge) -> bool:
-        """Saturation test without the exchange search.
-
-        Take S = the component of the smallest forest containing e0 (every
-        forest connects e0's endpoints here, so S holds both). If the k
-        forests hold exactly k(|S|-1) edges inside S, each must induce a
-        spanning tree on S, so no edge inside S can ever be placed.
-        """
-        smallest = min(range(self.k), key=lambda i: self.size[i])
-        adj_s = self.adj[smallest]
-        block = {e0[0]}
-        stack = [e0[0]]
-        while stack:
-            for w in adj_s[stack.pop()]:
-                if w not in block:
-                    block.add(w)
-                    stack.append(w)
-        inside = 0
-        for adj_i in self.adj:
-            for v in block:
-                for w in adj_i[v]:
-                    if w in block:
-                        inside += 1
-        if inside != self.k * (len(block) - 1) * 2:
-            return False
-        anchor = e0[0]
-        for v in block:
-            self._sat_union(anchor, v)
-        return True
-
     # -- results -----------------------------------------------------------
 
     def snapshot_trees(self) -> tuple[Forest, ...]:
@@ -404,7 +358,7 @@ def _jump_find(jump: dict[int, int], v: int) -> int:
     return root
 
 
-def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
+def _direct_run(graph: Graph, k: int) -> _Packer:
     """One maximal matroid-union run with k forests built from scratch.
 
     Pass 1 offers the edges in ascending (u, v) order to direct inserts,
@@ -412,8 +366,8 @@ def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
     every edge whose endpoints each forest already joins. Pass 2 offers the
     deferred edges, in the same order, to the exchange search, skipping
     those inside a saturated class. Both passes stop once the forests hold
-    k(n-1) edges. Returns the packer and the edges that could not be placed
-    (unfinished on that early exit, which only success triggers).
+    k(n-1) edges. When they fall short, the packer's saturated classes are
+    a certificate for level k (see _Packer).
     """
     packer = _Packer(graph.n, k)
     target = k * (graph.n - 1)
@@ -441,13 +395,11 @@ def _direct_run(graph: Graph, k: int) -> tuple[_Packer, list[Edge]]:
     # drops an edge from the cycle its partner closes), so every deferred
     # edge is still joined in every forest and offer never inserts directly
     # here: it goes straight to the saturation skip and the exchange search.
-    pending: list[Edge] = []
     for e in deferred:
         if packer.total == target:
             break
-        if not packer.offer(e):
-            pending.append(e)
-    return packer, pending
+        packer.offer(e)
+    return packer
 
 
 def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | None:
@@ -460,9 +412,9 @@ def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | N
     that rank by at most one, exactly when it can be inserted directly or by
     an augmenting chain. An edge that fails lies in the span of the placed
     set, and stays there because placed edges are only ever moved between
-    forests, never dropped; so a failed edge is never offered again. For the
-    same reason a saturated class S keeps its k(|S|-1) placed edges, and so
-    stays saturated as edges arrive: the saturation skip stays sound.
+    forests, never dropped; so a failed edge is never offered again. The
+    saturated classes stay saturated as edges arrive (see _Packer), so the
+    saturation skip stays sound.
 
     The extra edges are checked as build_graph checks edges (endpoints in
     range, no self-loop, no duplicate of a graph edge or of an edge offered
@@ -474,7 +426,7 @@ def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | N
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     target = k * (n - 1)
-    packer, _ = _direct_run(graph, k)
+    packer = _direct_run(graph, k)
     if packer.total == target:
         return 0
     seen = set(graph.edge_list)
@@ -482,12 +434,6 @@ def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | N
         if packer.offer(e) and packer.total == target:
             return j
     return None
-
-
-def _failed_partition(graph: Graph, packer: _Packer, pending: list[Edge], k: int) -> Partition:
-    packer.reset_saturation()
-    packer.close_pending(pending)
-    return _checked(graph, k, packer.saturated_partition())
 
 
 def _packing_bound(graph: Graph) -> int:
@@ -540,11 +486,11 @@ def _descend(graph: Graph) -> tuple[int, _Packer | None, Partition | None]:
     k = _packing_bound(graph)
     packer, certificate = None, None
     while k >= 1:
-        run, pending = _direct_run(graph, k)
+        run = _direct_run(graph, k)
         if run.total == k * (n - 1):
             packer = run
             break
-        certificate = _failed_partition(graph, run, pending, k)
+        certificate = _checked(graph, k, run.saturated_partition())
         k = min(k - 1, crossing_edges(graph, certificate) // (certificate.block_count - 1))
     if certificate is None:
         certificate = _cheap_certificate(graph, k + 1)
@@ -587,7 +533,7 @@ def has_k_spanning_trees(graph: Graph, k: int) -> tuple[bool, tuple[Forest, ...]
         return True, tuple(Forest(edges=()) for _ in range(k))
     if graph.m < k * (graph.n - 1) or min_degree(graph) < k:
         return False, None
-    packer, _ = _direct_run(graph, k)
+    packer = _direct_run(graph, k)
     if packer.total == k * (graph.n - 1):
         return True, packer.snapshot_trees()
     return False, None
@@ -606,10 +552,10 @@ def extract_certificate(graph: Graph, k: int) -> Partition:
     cheap = _cheap_certificate(graph, k)
     if cheap is not None:
         return _checked(graph, k, cheap)
-    packer, pending = _direct_run(graph, k)
+    packer = _direct_run(graph, k)
     if packer.total == k * (graph.n - 1):
         raise ValueError(f"{k} edge-disjoint spanning trees exist; no certificate")
-    return _failed_partition(graph, packer, pending, k)
+    return _checked(graph, k, packer.saturated_partition())
 
 
 def verify_packing(graph: Graph, trees) -> VerifyResult:

@@ -23,6 +23,8 @@ from treepack.rng import derive_seed
 from treepack.packing import (
     Forest,
     _Packer,
+    _direct_run,
+    _packing_bound,
     extract_certificate,
     first_packing_prefix,
     has_k_spanning_trees,
@@ -396,24 +398,53 @@ def audit_forest(packer, i):
         assert packer.csize[label] == len(tree)
 
 
+def audit_classes(packer):
+    """Every saturated class S spans a tree in each forest: |S|-1 edges
+    inside S per forest. Returns the number of classes with |S| >= 2."""
+    classes = {}
+    for v in range(packer.n):
+        classes.setdefault(packer.sat_find(v), set()).add(v)
+    formed = [block for block in classes.values() if len(block) >= 2]
+    for block in formed:
+        for adj in packer.adj:
+            inside = sum(w in block for v in block for w in adj[v]) // 2
+            assert inside == len(block) - 1
+    return len(formed)
+
+
 @pytest.fixture
 def audited(monkeypatch):
-    """Audit the touched forest after every link and cut; counts both."""
-    calls = {"add": 0, "remove": 0}
-    add, remove = _Packer.forest_add, _Packer.forest_remove
+    """Audit the touched forest and the saturated classes after every link
+    and cut, and the classes after every failed augmentation; counts the
+    links, cuts and failures, and the most classes with |S| >= 2 seen."""
+    calls = {"add": 0, "remove": 0, "failed": 0, "classes": 0}
+    add, remove, augment = _Packer.forest_add, _Packer.forest_remove, _Packer._augment
+
+    def audit(packer):
+        calls["classes"] = max(calls["classes"], audit_classes(packer))
 
     def audited_add(self, i, e):
         add(self, i, e)
         calls["add"] += 1
         audit_forest(self, i)
+        audit(self)
 
     def audited_remove(self, i, e):
         remove(self, i, e)
         calls["remove"] += 1
         audit_forest(self, i)
+        audit(self)
+
+    def audited_augment(self, e0):
+        placed = augment(self, e0)
+        if not placed:
+            calls["failed"] += 1
+            audit(self)
+        return placed
 
     monkeypatch.setattr(_Packer, "forest_add", audited_add)
     monkeypatch.setattr(_Packer, "forest_remove", audited_remove)
+    monkeypatch.setattr(_Packer, "_augment", audited_augment)
     return calls
 
 
@@ -447,6 +478,41 @@ def test_rooted_forests_through_prefix_walks(audited):
             assert j is not None
             assert has_k_spanning_trees(prefix_graph(perm, start + j), k)[0]
     assert audited["remove"] > removes
+
+
+def test_saturated_classes_through_failed_runs(audited):
+    # Runs that fall short of k(n-1): their saturated classes, read straight
+    # off the run, must already refute level k.
+    runs = [(complete_graph(n), n // 2 + 1) for n in range(4, 13)]
+    runs += [(two_cliques_bridged(s), 2) for s in range(4, 8)]
+    for n in (16, 24, 32):
+        for c in (1, 2, 3):
+            g = sample_gnp(n, c * math.log(n) / n, derive_seed(2026, "classes", n, c, 0))
+            bound = _packing_bound(g)
+            runs += [(g, k) for k in (bound, bound + 1) if k >= 1]
+    failed = 0
+    for g, k in runs:
+        packer = _direct_run(g, k)
+        if packer.total < k * (g.n - 1):
+            failed += 1
+            assert not nw_check(g, k, packer.saturated_partition())
+    assert failed >= len(runs) // 2
+    assert audited["failed"] > 0 and audited["classes"] > 0
+
+
+# The first probe at min(delta, m // (n-1)) fails on these G(256, c log n / n)
+# draws, so sigma and its certificate come from the failed run's classes.
+@pytest.mark.parametrize("c, t, sigma", [
+    (1.5, 53, 1), (1.5, 74, 1), (2, 67, 4), (3, 187, 7), (4, 120, 10),
+])
+def test_failed_first_probe_draws(c, t, sigma):
+    n = 256
+    g = sample_gnp(n, c * math.log(n) / n, derive_seed(2026, "tight", n, 0, t))
+    assert sigma < _packing_bound(g)
+    result = max_packing(g)
+    assert result.sigma == sigma
+    assert packing_number(g) == sigma
+    check_result(g, result)
 
 
 # -- the window between the paper's two regimes -------------------------------

@@ -33,15 +33,17 @@ certificate therefore already refutes level sigma+1.
 
 first_packing_prefix answers the same question along a growing edge
 sequence, as the hitting-time search of the random graph process asks it:
-one direct run packs the starting graph, and then each arriving edge is
-offered to the same packer until the forests hold k(n-1) edges.
+one direct run packs the first edges of the sequence, and then each later
+edge is offered to the same packer until the forests hold k(n-1) edges.
+The engine reads only (n, edges), so the search builds no Graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .graph import (
     Edge,
@@ -127,7 +129,6 @@ class _Packer:
         # the next unused label, len(csize).
         self.comp: list[list[int]] = [[i * n + v for i in range(k)] for v in range(n)]
         self.csize: list[int] = [1] * (k * n)
-        self.size: list[int] = [0] * k
         self.total = 0
         self.sat_parent = list(range(n))
         self.sat_size = [1] * n
@@ -179,7 +180,6 @@ class _Packer:
                     stack.append(y)
         adj[u].append(v)
         adj[v].append(u)
-        self.size[i] += 1
         self.total += 1
 
     def forest_remove(self, i: int, e: Edge) -> None:
@@ -187,7 +187,6 @@ class _Packer:
         adj, parent = self.adj[i], self.parent[i]
         adj[u].remove(v)
         adj[v].remove(u)
-        self.size[i] -= 1
         self.total -= 1
         if parent[u] == v:
             parent[u] = -1
@@ -358,23 +357,24 @@ def _jump_find(jump: dict[int, int], v: int) -> int:
     return root
 
 
-def _direct_run(graph: Graph, k: int) -> _Packer:
+def _direct_run(n: int, edges: Iterable[Edge], k: int) -> _Packer:
     """One maximal matroid-union run with k forests built from scratch.
 
-    Pass 1 offers the edges in ascending (u, v) order to direct inserts,
-    which rotate a cursor over the forests so all k fill evenly, and defers
-    every edge whose endpoints each forest already joins. Pass 2 offers the
+    The edges must be checked, normalized and in ascending (u, v) order, as
+    a Graph's edge_list is. Pass 1 offers them to direct inserts, which
+    rotate a cursor over the forests so all k fill evenly, and defers every
+    edge whose endpoints each forest already joins. Pass 2 offers the
     deferred edges, in the same order, to the exchange search, skipping
     those inside a saturated class. Both passes stop once the forests hold
     k(n-1) edges. When they fall short, the packer's saturated classes are
     a certificate for level k (see _Packer).
     """
-    packer = _Packer(graph.n, k)
-    target = k * (graph.n - 1)
+    packer = _Packer(n, k)
+    target = k * (n - 1)
     deferred: list[Edge] = []
     comp = packer.comp
     cursor = 0
-    for e in graph.edge_list:
+    for e in edges:
         if packer.total == target:
             break
         u, v = e
@@ -402,37 +402,39 @@ def _direct_run(graph: Graph, k: int) -> _Packer:
     return packer
 
 
-def first_packing_prefix(graph: Graph, extra: Iterable[Edge], k: int) -> int | None:
-    """Smallest j such that graph plus extra[:j] holds k edge-disjoint spanning
-    trees, or None if no prefix of extra (all of it included) does.
+def first_packing_prefix(n: int, order: Sequence[Edge], start: int, k: int) -> int | None:
+    """Smallest m >= start such that the first m edges of order hold k
+    edge-disjoint spanning trees on 0..n-1, or None if no such m exists.
 
-    One direct run packs graph; each extra edge is then offered, in order, to
-    the same packer. This is exact. The forests always hold a maximum
-    union-independent set of the edges seen so far, and one more edge raises
-    that rank by at most one, exactly when it can be inserted directly or by
-    an augmenting chain. An edge that fails lies in the span of the placed
-    set, and stays there because placed edges are only ever moved between
-    forests, never dropped; so a failed edge is never offered again. The
-    saturated classes stay saturated as edges arrive (see _Packer), so the
-    saturation skip stays sound.
+    One direct run packs order[:start]; each later edge is then offered, in
+    order, to the same packer. This is exact. The forests always hold a
+    maximum union-independent set of the edges seen so far, and one more
+    edge raises that rank by at most one, exactly when it can be inserted
+    directly or by an augmenting chain. An edge that fails lies in the span
+    of the placed set, and stays there because placed edges are only ever
+    moved between forests, never dropped; so a failed edge is never offered
+    again. The saturated classes stay saturated as edges arrive (see
+    _Packer), so the saturation skip stays sound.
 
-    The extra edges are checked as build_graph checks edges (endpoints in
-    range, no self-loop, no duplicate of a graph edge or of an edge offered
-    before), each just before it is offered.
+    Every edge is checked as build_graph checks it, with the same messages:
+    endpoints in range, no self-loop, no duplicate of an earlier edge. The
+    first start edges are checked before the run, each later one just
+    before it is offered.
     """
-    n = graph.n
-    if n == 0:
+    if n < 1:
         raise ValueError("packing needs at least one vertex")
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if not 0 <= start <= len(order):
+        raise ValueError(f"prefix length {start} outside [0, {len(order)}]")
     target = k * (n - 1)
-    packer = _direct_run(graph, k)
+    edges = checked_edges(n, order, set())
+    packer = _direct_run(n, sorted(islice(edges, start)), k)
     if packer.total == target:
-        return 0
-    seen = set(graph.edge_list)
-    for j, e in enumerate(checked_edges(n, extra, seen), start=1):
+        return start
+    for m, e in enumerate(edges, start=start + 1):
         if packer.offer(e) and packer.total == target:
-            return j
+            return m
     return None
 
 
@@ -486,7 +488,7 @@ def _descend(graph: Graph) -> tuple[int, _Packer | None, Partition | None]:
     k = _packing_bound(graph)
     packer, certificate = None, None
     while k >= 1:
-        run = _direct_run(graph, k)
+        run = _direct_run(n, graph.edge_list, k)
         if run.total == k * (n - 1):
             packer = run
             break
@@ -533,7 +535,7 @@ def has_k_spanning_trees(graph: Graph, k: int) -> tuple[bool, tuple[Forest, ...]
         return True, tuple(Forest(edges=()) for _ in range(k))
     if graph.m < k * (graph.n - 1) or min_degree(graph) < k:
         return False, None
-    packer = _direct_run(graph, k)
+    packer = _direct_run(graph.n, graph.edge_list, k)
     if packer.total == k * (graph.n - 1):
         return True, packer.snapshot_trees()
     return False, None
@@ -552,7 +554,7 @@ def extract_certificate(graph: Graph, k: int) -> Partition:
     cheap = _cheap_certificate(graph, k)
     if cheap is not None:
         return _checked(graph, k, cheap)
-    packer = _direct_run(graph, k)
+    packer = _direct_run(graph.n, graph.edge_list, k)
     if packer.total == k * (graph.n - 1):
         raise ValueError(f"{k} edge-disjoint spanning trees exist; no certificate")
     return _checked(graph, k, packer.saturated_partition())

@@ -150,10 +150,10 @@ def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
     """Smallest m with k edge-disjoint spanning trees in G_m; None means never.
 
     sigma <= delta rules out anything before the min-degree hitting time
-    tau_delta, so one packing run starts on G_{tau_delta} and the process
-    edges after it are offered to the same packer one at a time (see
-    packing.first_packing_prefix): the whole search is one matroid-union
-    computation, however late the trees arrive.
+    tau_delta, so one packing run starts on the first tau_delta process
+    edges and the later ones are offered to the same packer one at a time
+    (see packing.first_packing_prefix): the whole search is one
+    matroid-union computation, however late the trees arrive.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -161,13 +161,7 @@ def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
     if k > perm.n // 2:
         # Not even the complete graph packs that many: sigma(K_n) = n/2.
         return None
-    return _packing_time_after(perm, k, hitting_time_min_degree(perm, k))
-
-
-def _packing_time_after(perm: EdgePermutation, k: int, tau_delta: int) -> int:
-    """hitting_time_packing for 1 <= k <= n/2, given tau_delta =
-    hitting_time_min_degree(perm, k), for callers that need both times."""
-    offset = first_packing_prefix(prefix_graph(perm, tau_delta), perm.order[tau_delta:], k)
-    if offset is None:
+    tau_sigma = first_packing_prefix(perm.n, perm.order, hitting_time_min_degree(perm, k), k)
+    if tau_sigma is None:
         raise AssertionError("internal error: complete graph must pack k <= n/2")
-    return tau_delta + offset
+    return tau_sigma

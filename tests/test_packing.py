@@ -18,7 +18,7 @@ from treepack.graph import (
     singleton_partition,
 )
 from treepack.oracle import brute_has_k, brute_sigma, nw_check
-from treepack.randgraph import prefix_graph, sample_gnp, sample_process
+from treepack.randgraph import EdgePermutation, prefix_graph, sample_gnp, sample_process
 from treepack.rng import derive_seed
 from treepack.packing import (
     Forest,
@@ -272,8 +272,8 @@ def test_random_graphs_match_oracle():
 
 
 def test_first_packing_prefix_against_fresh_runs():
-    # Each walk is checked by independent runs: graph + extra[:j] packs and
-    # graph + extra[:j-1] does not. Extra edges come in either orientation.
+    # Each walk is checked by independent runs: order[:m] packs and
+    # order[:m-1] does not. Edges after start come in either orientation.
     rng = random.Random(5150)
     already = 0
     for trial in range(80):
@@ -282,47 +282,56 @@ def test_first_packing_prefix_against_fresh_runs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         start = rng.randint(0, len(pairs))
-        g = build_graph(n, pairs[:start])
         extra = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs[start:]]
+        order = pairs[:start] + extra
 
-        def packs(j):
-            return has_k_spanning_trees(build_graph(n, pairs[:start] + extra[:j]), k)[0]
+        def packs(m):
+            return has_k_spanning_trees(build_graph(n, order[:m]), k)[0]
 
         # With every pair in, K_n packs k <= n/2 trees.
-        j = first_packing_prefix(g, extra, k)
-        assert j is not None and packs(j), trial
-        if j > 0:
-            assert not packs(j - 1), trial
-        already += j == 0
+        m = first_packing_prefix(n, order, start, k)
+        assert m is not None and packs(m), trial
+        if m > start:
+            assert not packs(m - 1), trial
+        already += m == start
     assert 0 < already < 80
 
 
 def test_first_packing_prefix_returns_zero_when_graph_packs():
-    assert first_packing_prefix(complete_graph(4), [], 2) == 0
-    assert first_packing_prefix(path_graph(5), [(0, 2), (1, 3)], 1) == 0
+    assert first_packing_prefix(4, complete_graph(4).edge_list, 6, 2) == 6
+    assert first_packing_prefix(5, path_graph(5).edge_list + ((0, 2), (1, 3)), 4, 1) == 4
 
 
 def test_first_packing_prefix_none_when_extra_runs_out():
-    assert first_packing_prefix(build_graph(4, [(0, 1)]), [(2, 3)], 1) is None
-    assert first_packing_prefix(build_graph(4, [(0, 1)]), [(1, 2), (0, 3)], 2) is None
+    assert first_packing_prefix(4, [(0, 1), (2, 3)], 1, 1) is None
+    assert first_packing_prefix(4, [(0, 1), (1, 2), (0, 3)], 1, 2) is None
     # K_4 has 6 edges; 3 spanning trees need 9.
-    assert first_packing_prefix(build_graph(4, []), complete_graph(4).edge_list, 3) is None
+    assert first_packing_prefix(4, complete_graph(4).edge_list, 0, 3) is None
 
 
 def test_first_packing_prefix_rejects_bad_extra_edges():
-    # The same checks and messages as build_graph, against the graph's edges
-    # and the edges offered before; (0, 1) alone does not pack, so the walk
-    # reaches every bad edge.
-    g = build_graph(4, [(0, 1)])
+    # The same checks and messages as build_graph, against every earlier
+    # edge, whether the bad edge is offered after start or packed in the
+    # first run; (0, 1) alone does not pack, so the walk reaches every bad
+    # edge.
     for extra in ([(1, 0)], [(2, 2)], [(0, 4)], [(-1, 2)], [(2, 3), (3, 2)]):
+        order = [(0, 1)] + extra
         with pytest.raises(ValueError) as expected:
-            build_graph(4, [(0, 1)] + extra)
+            build_graph(4, order)
+        for start in (1, len(order)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                first_packing_prefix(4, order, start, 1)
+    # A start outside 0..len(order) fails as prefix_graph does.
+    order = [(0, 1), (2, 3)]
+    for start in (-1, 3):
+        with pytest.raises(ValueError) as expected:
+            prefix_graph(EdgePermutation(n=4, order=tuple(order)), start)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-            first_packing_prefix(g, extra, 1)
+            first_packing_prefix(4, order, start, 1)
     with pytest.raises(ValueError):
-        first_packing_prefix(build_graph(0, []), [], 1)
+        first_packing_prefix(0, [], 0, 1)
     with pytest.raises(ValueError):
-        first_packing_prefix(g, [], 0)
+        first_packing_prefix(4, [(0, 1)], 1, 0)
 
 
 def test_certificates_against_brute_force_n_le_10():
@@ -367,12 +376,14 @@ def test_moderately_dense_random_consistency():
 # -- rooted forests -----------------------------------------------------------
 
 def audit_forest(packer, i):
-    """The rooted-forest invariants of forest i of a packer."""
+    """The rooted-forest invariants of forest i of a packer, and the
+    packer's edge total over all forests."""
     n = packer.n
     adj, parent, depth = packer.adj[i], packer.parent[i], packer.depth[i]
     parent_edges = [normalize_edge(v, p) for v, p in enumerate(parent) if p >= 0]
     adj_edges = [normalize_edge(v, w) for v in range(n) for w in adj[v] if v < w]
-    assert len(parent_edges) == len(adj_edges) == packer.size[i]
+    assert len(parent_edges) == len(adj_edges)
+    assert sum(n - links.count(-1) for links in packer.parent) == packer.total
     assert set(parent_edges) == set(adj_edges)
     labels = set()
     reached = [False] * n
@@ -474,9 +485,9 @@ def test_rooted_forests_through_prefix_walks(audited):
             # Start below the min-degree hitting time, so the walk offers
             # many edges to the packer that packed the start.
             start = len(perm.order) // 8
-            j = first_packing_prefix(prefix_graph(perm, start), perm.order[start:], k)
-            assert j is not None
-            assert has_k_spanning_trees(prefix_graph(perm, start + j), k)[0]
+            m = first_packing_prefix(n, perm.order, start, k)
+            assert m is not None
+            assert has_k_spanning_trees(prefix_graph(perm, m), k)[0]
     assert audited["remove"] > removes
 
 
@@ -492,7 +503,7 @@ def test_saturated_classes_through_failed_runs(audited):
             runs += [(g, k) for k in (bound, bound + 1) if k >= 1]
     failed = 0
     for g, k in runs:
-        packer = _direct_run(g, k)
+        packer = _direct_run(g.n, g.edge_list, k)
         if packer.total < k * (g.n - 1):
             failed += 1
             assert not nw_check(g, k, packer.saturated_partition())

@@ -280,11 +280,11 @@ class TestHittingTimes:
         assert late >= 5
 
     def test_late_search_packs_once(self, monkeypatch):
-        # Work bound: a late search builds one prefix graph and starts one
-        # packing run, however far past tau_delta the trees arrive.
+        # Work bound: a late search starts one packing run and builds no
+        # Graph, however far past tau_delta the trees arrive.
         perm = sample_process(128, 2027)
         t_delta = hitting_time_min_degree(perm, 2)
-        calls = {"_direct_run": 0, "prefix_graph": 0}
+        calls = {"_direct_run": 0, "prefix_graph": 0, "build_graph": 0}
 
         def counting(owner, name):
             original = getattr(owner, name)
@@ -297,9 +297,10 @@ class TestHittingTimes:
 
         counting(packing, "_direct_run")
         counting(randgraph, "prefix_graph")
+        counting(randgraph, "build_graph")
         t_sigma = hitting_time_packing(perm, 2)
         assert t_sigma - t_delta > 50
-        assert calls == {"_direct_run": 1, "prefix_graph": 1}
+        assert calls == {"_direct_run": 1, "prefix_graph": 0, "build_graph": 0}
 
     def test_partial_permutation_rejected(self):
         perm = EdgePermutation(n=4, order=((0, 1), (2, 3)))

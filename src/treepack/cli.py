@@ -32,9 +32,6 @@ from .structure import (
     degree_window_check,
 )
 
-VERIFY_MAX_N = 12
-
-
 def _partition_lines(partition) -> list[str]:
     return [" ".join(map(str, sorted(block))) for block in partition.blocks]
 
@@ -72,11 +69,6 @@ def _cmd_pack(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = read_edge_list(args.graphfile)
-    if graph.n > VERIFY_MAX_N:
-        raise ValueError(
-            f"verify enumerates all partitions and is capped at n <= {VERIFY_MAX_N}, "
-            f"got n={graph.n}"
-        )
     violator = worst_partition(graph, args.k)
     if violator is None:
         print("OK")

@@ -36,8 +36,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 from .graph import min_degree
-from .packing import first_packing_prefix, packing_number
-from .randgraph import hitting_time_min_degree, sample_gnp, sample_process
+from .packing import packing_number
+from .randgraph import hitting_times, sample_gnp, sample_process
 from .reporting import emit_csv, emit_json, emit_svg_plot
 from .rng import check_seed, derive_seed
 from .structure import check_small_separation, min_expansion_ratio, small_count_check
@@ -209,10 +209,8 @@ def _hitting_trial(args: tuple) -> HittingRecord:
     n, k, k_index, trial, seed = args
     start = time.perf_counter()
     perm = sample_process(n, seed)
-    tau_delta = hitting_time_min_degree(perm, k)
-    # hitting_time_packing would walk to tau_delta again, so the packing
-    # search starts there directly. k <= n/2 guarantees both times exist.
-    tau_sigma = None if tau_delta is None else first_packing_prefix(n, perm.order, tau_delta, k)
+    tau_delta, tau_sigma = hitting_times(perm, k)
+    # k <= n/2 guarantees both times exist.
     if tau_sigma is None:
         raise AssertionError(
             f"internal error: hitting time missing for n={n}, k={k}, seed={seed}"

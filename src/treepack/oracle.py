@@ -1,13 +1,13 @@
 """Brute-force partition oracle for spanning-tree packing.
 
-Everything here enumerates all partitions of the vertex set, so it is only
-usable for tiny graphs. It exists to cross-check the exact packing algorithm:
-the tree-packing number equals
+It cross-checks the exact packing algorithm: the tree-packing number equals
 
     floor( min over partitions P with >= 2 blocks of  cross(P) / (|P| - 1) )
 
 by the Nash-Williams/Tutte characterization, where cross(P) counts edges
-joining distinct blocks.
+joining distinct blocks. Every answer here reads one walk, _crossing_counts,
+over all partitions of the vertex set. That walk holds the oracle's one size
+check: Bell(12) is about 4.2 million partitions, and larger n is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ MAX_ORACLE_VERTICES = 12
 
 
 def _growth_strings(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order.
+    """Restricted growth strings of length n >= 1 in lexicographic order.
 
     rgs[v] is the block label of vertex v, so each string is one partition
     of {0..n-1}. The same list is updated in place and yielded again, so a
@@ -42,38 +42,29 @@ def _growth_strings(n: int) -> Iterator[list[int]]:
             rgs[j] = 0
 
 
-def enumerate_partitions(n: int, min_blocks: int = 1) -> Iterator[Partition]:
-    """Yield every partition of {0..n-1} with at least ``min_blocks`` blocks.
-
-    Enumeration walks restricted growth strings in lexicographic order, so
-    the output order is deterministic. Bell(12) is about 4.2 million, which
-    is the practical ceiling; larger n is refused.
-    """
-    if n < 1:
-        raise ValueError("partition enumeration needs at least one vertex")
-    if n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"refusing to enumerate partitions for n={n} > {MAX_ORACLE_VERTICES}")
-    for rgs in _growth_strings(n):
-        blocks_needed = max(rgs) + 1
-        if blocks_needed >= min_blocks:
-            groups: list[list[int]] = [[] for _ in range(blocks_needed)]
-            for v, label in enumerate(rgs):
-                groups[label].append(v)
-            yield make_partition(groups)
-
-
 def nw_check(graph: Graph, k: int, partition: Partition) -> bool:
     """Nash-Williams/Tutte condition for one partition: cross >= k(|P|-1)."""
     return crossing_edges(graph, partition) >= k * (partition.block_count - 1)
 
 
-def _crossing_counts(graph: Graph) -> Iterator[tuple[int, int]]:
-    """(cross, blocks) over all partitions with >= 2 blocks, no Partition objects."""
-    edges = graph.edge_list
-    for rgs in _growth_strings(graph.n):
-        blocks = max(rgs) + 1
-        if blocks >= 2:
-            yield sum(1 for u, v in edges if rgs[u] != rgs[v]), blocks
+def _crossing_counts(graph: Graph) -> Iterator[tuple[int, int, list[int]]]:
+    """(cross, blocks, rgs) for every partition with >= 2 blocks.
+
+    Partitions come in the lexicographic order of their growth strings rgs
+    (shared lists, see _growth_strings). The size check runs at the call,
+    before any partition is walked.
+    """
+    n, edges = graph.n, graph.edge_list
+    if n > MAX_ORACLE_VERTICES:
+        raise ValueError(
+            f"the partition oracle walks all Bell(n) partitions and is capped at "
+            f"n <= {MAX_ORACLE_VERTICES}, got n={n}"
+        )
+    if n < 2:
+        return iter(())
+    strings = _growth_strings(n)
+    next(strings)  # all zeros: the one-block partition
+    return ((sum(1 for u, v in edges if rgs[u] != rgs[v]), max(rgs) + 1, rgs) for rgs in strings)
 
 
 def brute_sigma(graph: Graph) -> int:
@@ -83,8 +74,6 @@ def brute_sigma(graph: Graph) -> int:
     reported here is 0 so that the packing number never exceeds the minimum
     degree. Otherwise sigma is floor(eta) by Nash-Williams/Tutte.
     """
-    if graph.n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"brute_sigma is limited to n <= {MAX_ORACLE_VERTICES}")
     if graph.n <= 1:
         return 0
     return int(brute_eta(graph))  # int() floors a nonnegative Fraction
@@ -92,19 +81,16 @@ def brute_sigma(graph: Graph) -> int:
 
 def brute_eta(graph: Graph) -> Fraction:
     """Exact partition strength: min over >=2-block partitions of cross/(|P|-1)."""
-    if graph.n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"brute_eta is limited to n <= {MAX_ORACLE_VERTICES}")
+    walk = _crossing_counts(graph)
     if graph.n <= 1:
         raise ValueError("partition strength needs at least 2 vertices")
-    best: Fraction | None = None
-    for cross, blocks in _crossing_counts(graph):
+    best = Fraction(graph.m)  # no 2-block partition crosses more than m edges
+    for cross, blocks, _ in walk:
         value = Fraction(cross, blocks - 1)
-        if best is None or value < best:
+        if value < best:
             best = value
             if best == 0:
                 break
-    if best is None:
-        raise AssertionError("internal error: no partition with two or more blocks")
     return best
 
 
@@ -112,16 +98,23 @@ def brute_has_k(graph: Graph, k: int) -> bool:
     """Whether k edge-disjoint spanning trees exist, by exhaustive NW check."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0 or graph.n <= 1:
-        return True
-    return all(cross >= k * (blocks - 1) for cross, blocks in _crossing_counts(graph))
+    walk = _crossing_counts(graph)
+    return k == 0 or all(cross >= k * (blocks - 1) for cross, blocks, _ in walk)
 
 
 def worst_partition(graph: Graph, k: int) -> Partition | None:
-    """A partition violating the NW condition for k, or None if none exists."""
-    if graph.n <= 1 or k <= 0:
+    """The first partition, in growth-string order, violating the NW
+    condition for k, or None if none exists. The violator is confirmed by
+    nw_check before it is returned."""
+    walk = _crossing_counts(graph)
+    if k <= 0:
         return None
-    for partition in enumerate_partitions(graph.n, min_blocks=2):
-        if not nw_check(graph, k, partition):
-            return partition
+    for cross, blocks, rgs in walk:
+        if cross < k * (blocks - 1):
+            violator = make_partition(
+                [v for v, label in enumerate(rgs) if label == b] for b in range(blocks)
+            )
+            if nw_check(graph, k, violator):
+                raise AssertionError("internal error: the walk and nw_check disagree")
+            return violator
     return None

@@ -446,11 +446,17 @@ def _packing_bound(graph: Graph) -> int:
 
 def _cheap_certificate(graph: Graph, k: int) -> Partition | None:
     """A violating partition for level k that needs no packing run, if one
-    is immediate: disconnection, global sparsity, or a low-degree vertex."""
-    n = graph.n
+    is immediate: disconnection, then _bound_certificate."""
     comps = connected_components(graph)
     if len(comps) >= 2:
         return make_partition(comps)
+    return _bound_certificate(graph, k)
+
+
+def _bound_certificate(graph: Graph, k: int) -> Partition | None:
+    """The singleton partition if m < k(n-1), else a minimum-degree vertex
+    split off if its degree is below k, else None."""
+    n = graph.n
     if graph.m < k * (n - 1):
         return singleton_partition(n)
     degrees = [len(a) for a in graph.adjacency]
@@ -495,7 +501,9 @@ def _descend(graph: Graph) -> tuple[int, _Packer | None, Partition | None]:
         certificate = _checked(graph, k, run.saturated_partition())
         k = min(k - 1, crossing_edges(graph, certificate) // (certificate.block_count - 1))
     if certificate is None:
-        certificate = _cheap_certificate(graph, k + 1)
+        # The first probe decided at the bound. k >= 1 trees prove G
+        # connected, so only bound 0 needs the connectivity check.
+        certificate = _bound_certificate(graph, k + 1) if k else _cheap_certificate(graph, 1)
     return k, packer, _checked(graph, k + 1, certificate)
 
 

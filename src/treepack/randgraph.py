@@ -146,22 +146,28 @@ def hitting_time_min_degree(perm: EdgePermutation, k: int) -> int | None:
     raise ValueError("process order repeats a pair, so it misses another")
 
 
-def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
-    """Smallest m with k edge-disjoint spanning trees in G_m; None means never.
+def hitting_times(perm: EdgePermutation, k: int) -> tuple[int | None, int | None]:
+    """(tau_delta, tau_sigma) for k: the smallest m with delta(G_m) >= k, and
+    the smallest m with k edge-disjoint spanning trees in G_m; None means
+    never.
 
-    sigma <= delta rules out anything before the min-degree hitting time
-    tau_delta, so one packing run starts on the first tau_delta process
-    edges and the later ones are offered to the same packer one at a time
-    (see packing.first_packing_prefix): the whole search is one
-    matroid-union computation, however late the trees arrive.
+    sigma <= delta rules out anything before tau_delta, so one packing run
+    starts on the first tau_delta process edges and the later ones are
+    offered to the same packer one at a time (see
+    packing.first_packing_prefix): the whole search is one matroid-union
+    computation, however late the trees arrive.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    _check_complete(perm)
+    tau_delta = hitting_time_min_degree(perm, k)
     if k > perm.n // 2:
         # Not even the complete graph packs that many: sigma(K_n) = n/2.
-        return None
-    tau_sigma = first_packing_prefix(perm.n, perm.order, hitting_time_min_degree(perm, k), k)
+        return tau_delta, None
+    tau_sigma = first_packing_prefix(perm.n, perm.order, tau_delta, k)
     if tau_sigma is None:
         raise AssertionError("internal error: complete graph must pack k <= n/2")
-    return tau_sigma
+    return tau_delta, tau_sigma
+
+
+def hitting_time_packing(perm: EdgePermutation, k: int) -> int | None:
+    """Smallest m with k edge-disjoint spanning trees in G_m; None means
+    never. See hitting_times."""
+    return hitting_times(perm, k)[1]

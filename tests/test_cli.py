@@ -69,8 +69,9 @@ class TestVerify:
 
     def test_too_large_rejected(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(13))
-        assert main(["verify", path, "--k", "1"]) == 1
-        assert "n <= 12" in capsys.readouterr().err
+        for k in ("1", "0"):
+            assert main(["verify", path, "--k", k]) == 1
+            assert "n <= 12" in capsys.readouterr().err
 
 
 class TestGen:

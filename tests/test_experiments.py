@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import importlib.util
 import math
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -451,3 +453,18 @@ class TestHookContract:
                 "--sequential", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert [cfg.n_values for cfg in configs] == [(16,)]
+
+    def test_tracer_hooks_are_bound(self):
+        # perfbench/tracing.py wraps each (owner, attr) of _PATCHES through
+        # owner.__dict__, so a hook renamed away fails here, not mid-bench.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        missing = [
+            (getattr(owner, "__name__", "RUNNERS"), attr)
+            for owner, attr, *_ in tracing._PATCHES
+            if attr not in (owner if isinstance(owner, dict) else owner.__dict__)
+        ]
+        assert len(tracing._PATCHES) > 0
+        assert missing == []

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,40 +11,51 @@ from treepack.graph import (
     path_graph,
 )
 from treepack.oracle import (
+    _crossing_counts,
+    _growth_strings,
     brute_eta,
     brute_has_k,
     brute_sigma,
-    enumerate_partitions,
     nw_check,
     worst_partition,
 )
+from treepack.randgraph import sample_gnp
+from treepack.rng import derive_seed
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
 @pytest.mark.parametrize("n,count", sorted(BELL.items()))
 def test_partition_counts_match_bell_numbers(n, count):
-    assert sum(1 for _ in enumerate_partitions(n)) == count
+    assert sum(1 for _ in _growth_strings(n)) == count
 
 
 def test_partition_enumeration_distinct_and_valid():
     seen = set()
-    for p in enumerate_partitions(4):
-        key = tuple(sorted(tuple(sorted(b)) for b in p.blocks))
+    for rgs in _growth_strings(4):
+        assert len(rgs) == 4
+        blocks = [frozenset(v for v in range(4) if rgs[v] == b) for b in range(max(rgs) + 1)]
+        assert all(blocks)
+        assert sum(len(b) for b in blocks) == 4
+        key = frozenset(blocks)
         assert key not in seen
         seen.add(key)
-        assert sum(len(b) for b in p.blocks) == 4
     assert len(seen) == 15
 
 
 def test_min_blocks_filter():
-    # Partitions of 4 elements into >= 2 blocks: 15 - 1.
-    assert sum(1 for _ in enumerate_partitions(4, min_blocks=2)) == 14
+    # Partitions of 4 elements into >= 2 blocks: 15 - 1, none crossed by an edge.
+    walk = list(_crossing_counts(build_graph(4, [])))
+    assert len(walk) == 14
+    assert all(cross == 0 and blocks >= 2 for cross, blocks, _ in walk)
 
 
 def test_enumeration_refuses_large_n():
-    with pytest.raises(ValueError):
-        next(enumerate_partitions(13))
+    g = build_graph(13, [])
+    for ask in (brute_eta, brute_sigma, lambda g: worst_partition(g, 0),
+                lambda g: brute_has_k(g, 1), lambda g: brute_has_k(g, 0)):
+        with pytest.raises(ValueError, match="n <= 12"):
+            ask(g)
 
 
 def test_nw_check_c4():
@@ -104,3 +116,24 @@ def test_worst_partition_is_a_real_violation():
     assert p is not None
     assert not nw_check(g, 2, p)
     assert worst_partition(g, 1) is None
+
+
+# SHA-256 of worst_partition's answers on 308 seeded G(n, p) draws
+# (n = 2..8) for k = 1..4: the partitions `treepack verify` prints.
+WORST_SWEEP_SHA256 = "ba8ad2a9610cb7650ac7c03bfbc86ae7bfee8d733468aac6b3848a5c8adab299"
+
+
+def test_worst_partition_sweep_unchanged():
+    digest = hashlib.sha256()
+    violations = 0
+    for n in range(2, 9):
+        for i, p in enumerate((0.3, 0.5, 0.7, 0.9)):
+            for t in range(11):
+                g = sample_gnp(n, p, derive_seed(2026, "worst", n, i, t))
+                for k in range(1, 5):
+                    w = worst_partition(g, k)
+                    blocks = None if w is None else [sorted(b) for b in w.blocks]
+                    violations += w is not None
+                    digest.update(repr((n, i, t, k, blocks)).encode())
+    assert 0 < violations < 308 * 4
+    assert digest.hexdigest() == WORST_SWEEP_SHA256

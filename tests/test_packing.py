@@ -135,6 +135,26 @@ def test_disconnected_sigma_zero_with_component_certificate():
     assert result.certificate == make_partition([{0, 1, 2}, {3, 4, 5}])
 
 
+def test_connectivity_checked_only_at_bound_zero(monkeypatch):
+    import treepack.packing as packing_module
+
+    calls = []
+
+    def spy(graph):
+        calls.append(graph)
+        return connected_components(graph)
+
+    monkeypatch.setattr(packing_module, "connected_components", spy)
+    # First probes that succeed: their trees prove the graph connected.
+    for g in (complete_graph(6), cycle_graph(5), path_graph(4)):
+        assert max_packing(g).sigma == packing_number(g) >= 1
+    assert calls == []
+    # Bound 0 on a disconnected graph: the components are the certificate.
+    g = build_graph(4, [(0, 1), (2, 3)])
+    assert max_packing(g).certificate == make_partition([{0, 1}, {2, 3}])
+    assert calls == [g]
+
+
 def test_single_vertex():
     g = build_graph(1, [])
     result = max_packing(g)
